@@ -9,6 +9,7 @@ with exact dedup by canonical matrix form.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -86,18 +87,11 @@ def compute_phi(matrices, char: int, nvars: int) -> tuple[MultiPoly, frozenset[i
     if char == 0:
         content = 0
         for e in phi.terms.values():
-            content = _int_gcd(content, e)
+            content = math.gcd(content, e)
         excluded = frozenset(factorize(content)) if content > 1 else frozenset()
     else:
         excluded = frozenset()
     return phi, excluded
-
-
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class GroupSpec:

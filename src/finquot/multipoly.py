@@ -17,6 +17,7 @@ injective on monomials) covers the gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .unipoly import UniPoly
@@ -298,12 +299,6 @@ def _list_content(coeffs: list[MultiPoly], char: int, nvars: int) -> MultiPoly:
             cont = mp_gcd(cont, c)
     return cont
 
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Exact gcd over Z (content included, positive grlex lead) or F_p (monic lead)."""
     if f.is_zero():
@@ -315,11 +310,11 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if s == 0:
         if char:
             return MultiPoly.const(char, 0, 1)
-        return MultiPoly.const(char, 0, _int_gcd(f.const_value(), g.const_value()))
+        return MultiPoly.const(char, 0, math.gcd(f.const_value(), g.const_value()))
     if f.is_const() or g.is_const():
         if char:
             return MultiPoly.const(char, s, 1)
-        c = _int_gcd(_content_int(f), _content_int(g))
+        c = math.gcd(_content_int(f), _content_int(g))
         return MultiPoly.const(char, s, c)
     a, b = _to_main(f), _to_main(g)
     cont_a = _list_content(a, char, s - 1)
@@ -345,7 +340,7 @@ def _lift_last(f: MultiPoly, nvars: int) -> MultiPoly:
 def _content_int(f: MultiPoly) -> int:
     g = 0
     for c in f.terms.values():
-        g = _int_gcd(g, c)
+        g = math.gcd(g, c)
     return g
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from .algebra import factorize, next_prime, primes
-from .errors import BudgetExceeded, NotFoundWithinBudget
+from .errors import BudgetExceeded, FinquotError, NotFoundWithinBudget
 from .fields import ExtFieldElem, PFieldElem
 from .groups import GroupSpec, Word, ball_enumerate, word_evaluate
 from .multipoly import MultiPoly
@@ -28,6 +28,7 @@ from .witness import (
     encode_matrix,
     field_ops,
     separate,
+    word_image,
 )
 
 
@@ -76,13 +77,6 @@ class _ScanHom:
     order: int | None
     images: dict
 
-    def survives(self, letters, ops: FieldOps, size: int) -> bool:
-        ident = ops.identity(size)
-        prod = ident
-        for letter in letters:
-            prod = ops.mat_mul(prod, self.images[letter], size)
-        return prod != ident
-
 
 class ReductionScanner:
     """All reduction homomorphisms for one group within one budget.
@@ -92,31 +86,29 @@ class ReductionScanner:
     """
 
     def __init__(self, spec: GroupSpec, budget: ReductionBudget):
-        self.spec = spec
+        # Only the size is kept: holding the spec would pin it in _SCANNERS,
+        # whose keys are weak.
+        self.size = spec.size
         self.budget = budget
         self.floor = _quotient_floor(spec, budget)
         self._ops: dict[int, FieldOps] = {}
         self._closure_cache: dict = {}
-        homs = list(self._char0_homs() if spec.char == 0 else self._charp_homs())
+        homs = list(self._char0_homs(spec) if spec.char == 0 else self._charp_homs(spec))
         homs.sort(key=lambda h: (h.order if h.order is not None else math.inf, h.label))
         self.homs = homs
 
-    def _base_labels(self):
-        return [l for l in sorted(self.spec.generators) if not l.endswith("^-1")]
-
-    def _make_hom(self, label: str, hom: FieldHom, ops: FieldOps) -> _ScanHom | None:
-        spec = self.spec
+    def _make_hom(self, spec: GroupSpec, label: str, hom: FieldHom, ops: FieldOps) -> _ScanHom | None:
         if hom.apply(spec.phi).is_zero():
             return None
         images = {l: encode_matrix(hom.apply_matrix(m), ops) for l, m in spec.generators.items()}
-        gens = tuple(images[l] for l in self._base_labels())
-        order, exact = _cached_closure(
-            self._closure_cache, gens, ops, spec.size, self.budget.order_budget
-        )
+        gens = tuple(images[l] for l in sorted(images) if not l.endswith("^-1"))
+        key = (ops.q, gens)
+        if key not in self._closure_cache:
+            self._closure_cache[key] = closure_order(gens, ops, spec.size, self.budget.order_budget)
+        order, exact = self._closure_cache[key]
         return _ScanHom(label=label, q=hom.field_size, order=order if exact else None, images=images)
 
-    def _char0_homs(self):
-        spec = self.spec
+    def _char0_homs(self, spec: GroupSpec):
         for p in primes():
             if p > self.budget.max_prime:
                 break
@@ -125,18 +117,17 @@ class ReductionScanner:
             ops = self._ops.setdefault(p, field_ops(FieldHom(p, None, (), ())))
             for tup in itertools.product(range(p), repeat=spec.nvars):
                 images = tuple(PFieldElem.of(p, c) for c in tup)
-                scan = self._make_hom(f"p={p},t={tup}", FieldHom(p, None, images, ()), ops)
+                scan = self._make_hom(spec, f"p={p},t={tup}", FieldHom(p, None, images, ()), ops)
                 if scan is not None:
                     yield scan
 
-    def _charp_homs(self):
+    def _charp_homs(self, spec: GroupSpec):
         """One hom per kernel: images up to simultaneous Frobenius conjugacy.
 
         Two variable assignments with the same minimal polynomial data induce
         the same kernel on the coordinate ring, hence isomorphic images, so a
         single orbit representative per extension degree suffices.
         """
-        spec = self.spec
         p = spec.char
         for j in range(1, self.budget.max_degree + 1):
             modulus = next(iter(enumerate_irreducibles(p, j)))
@@ -160,7 +151,7 @@ class ReductionScanner:
                 images = tuple(
                     ExtFieldElem(p, modulus, _decode_coeffs(v, p, j)) for v in tup
                 )
-                scan = self._make_hom(f"q={q},t={tup}", FieldHom(p, modulus, images, ()), ops)
+                scan = self._make_hom(spec, f"q={q},t={tup}", FieldHom(p, modulus, images, ()), ops)
                 if scan is not None:
                     yield scan
 
@@ -174,9 +165,10 @@ class ReductionScanner:
         homomorphism outside the budget can have a smaller nontrivial image,
         by the structural floor documented in _quotient_floor.
         """
-        size = self.spec.size
+        size = self.size
         for scan in self.homs:
-            if scan.survives(word.letters, self.ops_for(scan), size):
+            ops = self.ops_for(scan)
+            if word_image(word.letters, scan.images, ops, size) != ops.identity(size):
                 if scan.order is None:
                     raise BudgetExceeded(
                         "image order exceeds the closure budget",
@@ -205,13 +197,6 @@ def _decode_coeffs(v: int, p: int, deg: int) -> tuple[int, ...]:
         v, rem = divmod(v, p)
         coeffs.append(rem)
     return tuple(coeffs)
-
-
-def _cached_closure(cache, gens, ops, size, budget):
-    key = (ops.q, gens)
-    if key not in cache:
-        cache[key] = closure_order(gens, ops, size, budget)
-    return cache[key]
 
 
 def _quotient_floor(spec: GroupSpec, budget: ReductionBudget) -> int:
@@ -400,7 +385,11 @@ def farb_profile(
                 exhaustive = False
                 continue
             if rec.image_order_exact and _hom_within(rec.hom, budget):
-                assert dmin <= rec.image_order <= rec.gl_bound
+                if not dmin <= rec.image_order <= rec.gl_bound:
+                    raise FinquotError(
+                        f"reduction sandwich violated for {el.word.render()!r}:"
+                        f" {dmin} <= {rec.image_order} <= {rec.gl_bound} fails"
+                    )
             max_dr = max(max_dr, dmin)
             exhaustive = exhaustive and exh
         count += len(by_radius.get(radius, ()))

@@ -9,8 +9,8 @@ order, which fixes the "first irreducible" used by witness construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .algebra import factorize, is_prime, mobius
 from .errors import BudgetExceeded
@@ -110,7 +110,7 @@ class UniPoly:
         """gcd of the coefficients (char 0), signed by the leading coefficient."""
         if not self.coeffs:
             return 0
-        g = reduce(lambda a, b: _gcd_int(a, b), (abs(c) for c in self.coeffs))
+        g = math.gcd(*self.coeffs)
         return -g if self.coeffs[-1] < 0 else g
 
     # Field-coefficient operations; all require char p.
@@ -199,12 +199,6 @@ class UniPoly:
     def _field(self) -> None:
         if not self.char:
             raise ValueError("operation requires prime characteristic")
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def gauss_irreducible_count(p: int, ell: int) -> int:

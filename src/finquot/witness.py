@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import primes, smallest_prime_not_dividing
-from .errors import IdentityWordError
+from .errors import FinquotError, IdentityWordError
 from .fields import ExtFieldElem, PFieldElem
 from .groups import GroupSpec, Word, scaled_difference, word_evaluate
 from .multipoly import MultiPoly, substitution_exponents
@@ -63,6 +63,9 @@ class FieldHom:
         for row in mat.rows:
             cells = []
             for entry in row:
+                if entry.is_poly():
+                    cells.append(self.apply(entry.num))
+                    continue
                 den = self.apply(entry.den)
                 if den.is_zero():
                     raise ZeroDivisionError("denominator dies under the homomorphism")
@@ -196,11 +199,9 @@ def separate(
 
     ops = field_ops(hom)
     ims = {label: encode_matrix(hom.apply_matrix(mat), ops) for label, mat in spec.generators.items()}
-    prod = ops.identity(spec.size)
-    for letter in word.letters:
-        prod = ops.mat_mul(prod, ims[letter], spec.size)
-    verified = prod != ops.identity(spec.size)
-    assert verified, "witness homomorphism failed to move the word off the identity"
+    verified = word_image(word.letters, ims, ops, spec.size) != ops.identity(spec.size)
+    if not verified:
+        raise FinquotError("witness homomorphism failed to move the word off the identity")
 
     order = exact = None
     if order_budget is not None:
@@ -257,20 +258,18 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         return False, "length-mismatch"
     if any(l not in ims for l in letters):
         return False, "unknown-letter"
-    ident = ops.identity(spec.size)
-    prod = ident
+    m, n = spec.size, len(letters)
+    cuts = sorted({c for c in (1, n // 2, n - 1) if 0 < c < n})
     prefixes = {}
-    for k, letter in enumerate(letters, start=1):
-        prod = ops.mat_mul(prod, ims[letter], spec.size)
-        prefixes[k] = prod
-    if prod == ident:
+    prod, done = ops.identity(m), 0
+    for cut in (*cuts, n):
+        prod = word_image(letters[done:cut], ims, ops, m, start=prod)
+        prefixes[cut], done = prod, cut
+    if prod == ops.identity(m):
         return False, "word-collapses"
-    cuts = {c for c in (1, len(letters) // 2, len(letters) - 1) if 0 < c < len(letters)}
-    for cut in sorted(cuts):
-        rhs = prefixes[cut]
-        for letter in letters[cut:]:
-            rhs = ops.mat_mul(rhs, ims[letter], spec.size)
-        if rhs != prefixes[len(letters)]:
+    mul = ops.product(m)
+    for cut in cuts:
+        if mul(prefixes[cut], word_image(letters[cut:], ims, ops, m)) != prod:
             return False, "multiplicativity"
     return True, "ok"
 
@@ -289,20 +288,29 @@ def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> t
     return order, True
 
 
-# Finite-field matrices are encoded as flat tuples of ints so that closure
-# enumeration and dedup run on machine integers, not wrapper objects.
+# Finite-field matrices are encoded as flat row-major tuples of ints so that
+# closure enumeration and dedup run on machine integers, not wrapper objects.
+# A prime-field element is its residue mod p; an extension-field element is
+# its coefficient vector read as a base-p integer, with mul/add tables.
+#
+# Every product goes through FieldOps.product(m).  For m = 2 that is the
+# unrolled kernel field_ops builds per field: plain `% p` arithmetic over a
+# prime field, mul/add table lookups over an extension field.  Other sizes
+# use the generic FieldOps.mat_mul, which is also the reference the tests
+# compare the kernel against.
 
 
 class FieldOps:
     """Integer-encoded arithmetic for one finite field."""
 
-    __slots__ = ("q", "mul", "add", "neg")
+    __slots__ = ("q", "mul", "add", "neg", "mul2")
 
-    def __init__(self, q, mul, add, neg):
+    def __init__(self, q, mul, add, neg, mul2):
         self.q = q
         self.mul = mul
         self.add = add
         self.neg = neg
+        self.mul2 = mul2
 
     def identity(self, m: int) -> tuple[int, ...]:
         return tuple(1 if i == j else 0 for i in range(m) for j in range(m))
@@ -319,15 +327,32 @@ class FieldOps:
                 out.append(acc)
         return tuple(out)
 
+    def product(self, m: int):
+        """The product of two m x m matrices, as a function of (a, b)."""
+        if m == 2:
+            return self.mul2
+        return lambda a, b: self.mat_mul(a, b, m)
+
 
 def field_ops(hom: FieldHom) -> FieldOps:
     p = hom.char
     if hom.modulus is None:
-        return FieldOps(p, lambda a, b: a * b % p, lambda a, b: (a + b) % p, lambda a: -a % p)
+
+        def mul2(a, b):
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            return (
+                (a0 * b0 + a1 * b2) % p,
+                (a0 * b1 + a1 * b3) % p,
+                (a2 * b0 + a3 * b2) % p,
+                (a2 * b1 + a3 * b3) % p,
+            )
+
+        return FieldOps(p, lambda a, b: a * b % p, lambda a, b: (a + b) % p, lambda a: -a % p, mul2)
     h = hom.modulus
     q = p**h.degree
-    mul_table = [0] * (q * q)
-    add_table = [0] * (q * q)
+    mul_table = [[0] * q for _ in range(q)]
+    add_table = [[0] * q for _ in range(q)]
     neg_table = [0] * q
     polys = [_decode_poly(v, p, h.degree) for v in range(q)]
     for a in range(q):
@@ -337,13 +362,26 @@ def field_ops(hom: FieldHom) -> FieldOps:
             pb = polys[b]
             mv = _encode_poly((pa * pb) % h, p, h.degree)
             av = _encode_poly(pa + pb, p, h.degree)
-            mul_table[a * q + b] = mul_table[b * q + a] = mv
-            add_table[a * q + b] = add_table[b * q + a] = av
+            mul_table[a][b] = mul_table[b][a] = mv
+            add_table[a][b] = add_table[b][a] = av
+
+    def mul2(a, b):
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        m0, m1, m2, m3 = mul_table[a0], mul_table[a1], mul_table[a2], mul_table[a3]
+        return (
+            add_table[m0[b0]][m1[b2]],
+            add_table[m0[b1]][m1[b3]],
+            add_table[m2[b0]][m3[b2]],
+            add_table[m2[b1]][m3[b3]],
+        )
+
     return FieldOps(
         q,
-        lambda a, b: mul_table[a * q + b],
-        lambda a, b: add_table[a * q + b],
+        lambda a, b: mul_table[a][b],
+        lambda a, b: add_table[a][b],
         lambda a: neg_table[a],
+        mul2,
     )
 
 
@@ -388,21 +426,33 @@ def _det(mat: tuple[int, ...], ops: FieldOps, m: int) -> int:
     return acc
 
 
+def word_image(letters, images, ops: FieldOps, m: int, start=None) -> tuple[int, ...]:
+    """start (the identity by default) times the images of the letters, left to right."""
+    mul = ops.product(m)
+    prod = ops.identity(m) if start is None else start
+    for letter in letters:
+        prod = mul(prod, images[letter])
+    return prod
+
+
 def closure_order(gens, ops: FieldOps, m: int, budget: int) -> tuple[int, bool]:
     """Size of the generated group by breadth-first closure under the generators."""
+    mul = ops.product(m)
     ident = ops.identity(m)
     seen = {ident}
+    mark = seen.add
     frontier = [ident]
     while frontier:
         nxt = []
+        push = nxt.append
         for elem in frontier:
             for g in gens:
-                cand = ops.mat_mul(elem, g, m)
+                cand = mul(elem, g)
                 if cand not in seen:
-                    seen.add(cand)
+                    mark(cand)
                     if len(seen) > budget:
                         return len(seen), False
-                    nxt.append(cand)
+                    push(cand)
         frontier = nxt
     return len(seen), True
 

@@ -246,3 +246,32 @@ def test_build_growth_table():
     assert t2.audit_pass
     with pytest.raises(ValueError):
         build_growth_table("free", 4)
+
+
+def test_profile_sandwich_violation_raises(cyclic, monkeypatch):
+    from finquot import profiler
+    from finquot.errors import FinquotError
+
+    monkeypatch.setattr(profiler.ReductionScanner, "min_order", lambda self, word: (10**9, True))
+    with pytest.raises(FinquotError, match="reduction sandwich violated"):
+        farb_profile(cyclic, 2)
+
+
+def test_scanner_cache_drops_collected_specs():
+    import gc
+    import weakref
+
+    from finquot import profiler
+    from finquot.groups import sanov_group
+
+    gc.collect()
+    before = len(profiler._SCANNERS)
+    refs = []
+    for _ in range(3):
+        spec = sanov_group(3)
+        profiler.reduction_scanner(spec, ReductionBudget(max_degree=2))
+        refs.append(weakref.ref(spec))
+        del spec
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(profiler._SCANNERS) == before

@@ -271,3 +271,62 @@ def test_separated_records_round_trip_verification(sanov, sanov3):
             assert ok, (text, reason)
             assert rec.gl_bound == rec.field_size ** 4
             done += 1
+
+
+def _word_image_to_identity(letters, images, ops, m, start=None):
+    return ops.identity(m)
+
+
+def test_separate_raises_when_word_image_collapses(sanov, monkeypatch, capsys):
+    import json
+
+    from finquot import witness
+    from finquot.cli import main
+    from finquot.errors import FinquotError
+
+    monkeypatch.setattr(witness, "word_image", _word_image_to_identity)
+    with pytest.raises(FinquotError, match="failed to move the word off the identity"):
+        separate(sanov, sanov.word("a b"))
+    assert main(["witness", "sanov", "--word", "a b"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "FinquotError"
+
+
+_OPTIMIZED_CHECKS = """
+import sys
+from finquot import profiler, witness
+from finquot.errors import FinquotError
+from finquot.groups import cyclic_group, sanov_group
+
+raised = []
+real_word_image = witness.word_image
+witness.word_image = lambda letters, images, ops, m, start=None: ops.identity(m)
+spec = sanov_group(0)
+try:
+    witness.separate(spec, spec.word("a b"))
+except FinquotError:
+    raised.append("separate")
+witness.word_image = real_word_image
+profiler.ReductionScanner.min_order = lambda self, word: (10**9, True)
+try:
+    profiler.farb_profile(cyclic_group(), 2)
+except FinquotError:
+    raised.append("sandwich")
+print(sys.flags.optimize, ",".join(raised))
+"""
+
+
+def test_checks_survive_python_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import finquot
+
+    src = str(Path(finquot.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "separate,sandwich"]
