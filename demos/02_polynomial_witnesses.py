@@ -23,7 +23,7 @@ print(f"  power substitution x_i -> x^n_i with n = {choice.exponents} ({choice.m
 
 hom = charzero_witness(f)
 print(f"  witness: {hom.describe()}, evaluation point ell = {hom.ell}")
-print(f"  image of f: {hom.apply(f)!r}  (nonzero, as promised)")
+print(f"  image of f: {hom.field.render(hom.apply(f))}  (nonzero, as promised)")
 
 # exclude the prime the first witness found and ask again
 excluded = frozenset({hom.char})
@@ -41,4 +41,4 @@ h = y * y + y  # x^2 + x = x(x+1) vanishes at every F_2 point
 print(f"\nh = {h.render(['y'])}  (char 2); h vanishes on all of F_2 itself")
 homp = charp_witness(h)
 print(f"  witness modulus: {homp.modulus.render()} -> field of size {homp.field_size}")
-print(f"  image of h: {homp.apply(h)!r}")
+print(f"  image of h: {homp.field.render(homp.apply(h))}")

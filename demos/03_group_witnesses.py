@@ -21,7 +21,7 @@ for row in gamma.rows:
 record = separate(spec, word, order_budget=200_000)
 hom = record.hom
 print(f"\nwitness entry: {record.entry}, target field: F_{record.field_size}")
-print(f"generator images: t -> {hom.images}")
+print(f"generator images: t -> ({hom.field.render(hom.images[0])},)")
 print(f"ambient bound |GL_2(F_{record.field_size})| <= {record.gl_bound}")
 if record.image_order_exact:
     print(f"actual image order: {record.image_order} (exact, by closure)")

@@ -10,7 +10,6 @@ from .errors import (
     NotFoundWithinBudget,
     SpecFileError,
 )
-from .fields import ExtFieldElem, PFieldElem
 from .groups import (
     GroupSpec,
     Word,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "EntryParseError",
-    "ExtFieldElem",
     "FarbProfile",
     "FieldHom",
     "FieldMatrix",
@@ -70,7 +68,6 @@ __all__ = [
     "IdentityWordError",
     "MultiPoly",
     "NotFoundWithinBudget",
-    "PFieldElem",
     "RatFunc",
     "ReductionBudget",
     "SpecFileError",

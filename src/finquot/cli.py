@@ -64,7 +64,7 @@ def _emit(text: str, out_path: str | None):
 
 def _cmd_witness(args) -> int:
     spec, file_budgets, fp = resolve_spec(args.spec)
-    budget = merge_budget(_env_budgets(), file_budgets, {"order_budget": args.order_budget})
+    budget = merge_budget(file_budgets, _env_budgets(), {"order_budget": args.order_budget})
     word = spec.word(args.word)
     record = separate(spec, word, order_budget=budget.order_budget)
     _emit(canonical_json(witness_to_data(record, fp)) + "\n", args.out)
@@ -94,10 +94,11 @@ def _cmd_profile(args) -> int:
         "max_degree": args.max_degree,
         "order_budget": args.order_budget,
     }
-    budget = merge_budget(_env_budgets(), file_budgets, flags)
+    env_budgets = _env_budgets()
+    budget = merge_budget(file_budgets, env_budgets, flags)
     ball_budget = args.ball_budget
     if ball_budget is None:
-        ball_budget = _env_budgets().get("ball_budget") or file_budgets.get("ball_budget")
+        ball_budget = env_budgets.get("ball_budget") or file_budgets.get("ball_budget")
     profile = farb_profile(spec, args.radius, budget, ball_budget=ball_budget)
     _emit(profile_to_csv(profile), args.out)
     return 0
@@ -162,11 +163,16 @@ def _random_poly(rng: random.Random, char: int) -> MultiPoly:
     return f
 
 
+def _require(ok: bool, what: str):
+    if not ok:
+        raise FinquotError(f"selftest check failed: {what}")
+
+
 def _cmd_selftest(args) -> int:
     rng = random.Random(args.seed)
     checks = 0
 
-    assert dz(12) == 5 and farb_z(6) == 4 and gauss_irreducible_count(2, 3) == 2
+    _require(dz(12) == 5 and farb_z(6) == 4 and gauss_irreducible_count(2, 3) == 2, "integer invariants")
     checks += 1
 
     for _ in range(25):
@@ -174,23 +180,23 @@ def _cmd_selftest(args) -> int:
         if f.is_zero():
             continue
         choice = substitution_exponents(f)
-        assert f.substitute_sparse(choice.exponents)
+        _require(bool(f.substitute_sparse(choice.exponents)), "substitution keeps a polynomial nonzero")
         checks += 1
 
     sv = sanov_group()
     rec = separate(sv, sv.word("a"), order_budget=10_000)
     ok, reason = verify_witness(sv, rec)
-    assert ok and rec.image_order == 6, reason
+    _require(ok and rec.image_order == 6, f"sanov witness for 'a': {reason}")
     checks += 1
 
     sv3 = sanov_group(3)
     rec3 = separate(sv3, sv3.word("a b"), order_budget=10_000)
     ok, reason = verify_witness(sv3, rec3)
-    assert ok, reason
+    _require(ok, f"sanov_f3 witness for 'a b': {reason}")
     checks += 1
 
     prof = farb_profile(cyclic_group(), 4)
-    assert [row.max_d_reduction for row in prof.rows] == [farb_z(k) for k in range(1, 5)]
+    _require([row.max_d_reduction for row in prof.rows] == [farb_z(k) for k in range(1, 5)], "cyclic profile")
     checks += 1
 
     print(f"selftest passed ({checks} checks, seed={args.seed})")

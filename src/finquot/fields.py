@@ -1,159 +1,149 @@
-"""Prime-field and extension-field elements with canonical representatives.
+"""Finite fields F_q with elements encoded as plain ints in [0, q).
 
-PFieldElem carries a checked prime modulus; ExtFieldElem carries a checked
-monic irreducible modulus over F_p and a coefficient tuple of length deg(h).
-Both are immutable, hashable, and support the ring/field operators, so generic
-polynomial evaluation works over either.
+A prime field (modulus None) encodes an element as its least nonnegative
+residue mod p.  An extension F_p[x]/(h) encodes c_0 + c_1 x + ... +
+c_{d-1} x^(d-1) as the base-p integer c_0 + c_1 p + ... + c_{d-1} p^(d-1)
+and does its arithmetic by q x q tables.  In both, 0 and 1 encode zero and
+one, and an integer n embeds as n mod p.  finite_field() builds one Field
+per (p, modulus) and caches it, so tables are built once per process.
+
+Matrices over F_q are flat row-major tuples of encoded elements, so closure
+enumeration and dedup run on machine integers.  Every product goes through
+Field.product(m): for m = 2 an unrolled kernel (plain `% p` arithmetic over
+a prime field, table lookups over an extension field), for other sizes the
+generic Field.mat_mul, which is also the reference the tests compare the
+kernel against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import is_prime
 from .unipoly import UniPoly, is_irreducible
 
 
-@lru_cache(maxsize=None)
-def _checked_prime(p: int) -> bool:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return True
+class Field:
+    """Arithmetic on the encoded elements of F_p (modulus None) or F_p[x]/(modulus)."""
 
+    def __init__(self, p: int, modulus: UniPoly | None):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.modulus = modulus
+        if modulus is None:
+            self.q = p
+            self.add = lambda a, b: (a + b) % p
+            self.mul = lambda a, b: a * b % p
+            self.neg = lambda a: -a % p
 
-@lru_cache(maxsize=None)
-def _checked_modulus(h: UniPoly) -> bool:
-    if not h.is_monic() or not is_irreducible(h):
-        raise ValueError("modulus must be monic irreducible over F_p")
-    return True
+            def mul2(a, b):
+                a0, a1, a2, a3 = a
+                b0, b1, b2, b3 = b
+                return (
+                    (a0 * b0 + a1 * b2) % p,
+                    (a0 * b1 + a1 * b3) % p,
+                    (a2 * b0 + a3 * b2) % p,
+                    (a2 * b1 + a3 * b3) % p,
+                )
 
-
-@dataclass(frozen=True)
-class PFieldElem:
-    """An element of F_p, stored as the least nonnegative residue."""
-
-    p: int
-    value: int
-
-    def __post_init__(self):
-        _checked_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    @classmethod
-    def of(cls, p: int, n: int) -> "PFieldElem":
-        return cls(p, n)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __add__(self, other: "PFieldElem") -> "PFieldElem":
-        self._check(other)
-        return PFieldElem(self.p, self.value + other.value)
-
-    def __sub__(self, other: "PFieldElem") -> "PFieldElem":
-        self._check(other)
-        return PFieldElem(self.p, self.value - other.value)
-
-    def __neg__(self) -> "PFieldElem":
-        return PFieldElem(self.p, -self.value)
-
-    def __mul__(self, other: "PFieldElem") -> "PFieldElem":
-        self._check(other)
-        return PFieldElem(self.p, self.value * other.value)
-
-    def __pow__(self, e: int) -> "PFieldElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return PFieldElem(self.p, pow(self.value, e, self.p))
-
-    def inverse(self) -> "PFieldElem":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return PFieldElem(self.p, pow(self.value, self.p - 2, self.p))
-
-    def __truediv__(self, other: "PFieldElem") -> "PFieldElem":
-        return self * other.inverse()
-
-    def _check(self, other: "PFieldElem") -> None:
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-
-    def __repr__(self) -> str:
-        return f"F{self.p}({self.value})"
-
-
-@dataclass(frozen=True)
-class ExtFieldElem:
-    """An element of F_p[x]/(h), as coefficients of length deg(h), lowest first."""
-
-    p: int
-    modulus: UniPoly
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        _checked_prime(self.p)
-        if self.modulus.char != self.p:
+            self.mul2 = mul2
+            return
+        if modulus.char != p:
             raise ValueError("modulus characteristic mismatch")
-        _checked_modulus(self.modulus)
-        d = self.modulus.degree
-        cs = tuple(c % self.p for c in self.coeffs)
-        if len(cs) > d:
-            cs = tuple((UniPoly(self.p, cs) % self.modulus).coeffs)
-        cs = cs + (0,) * (d - len(cs))
-        object.__setattr__(self, "coeffs", cs)
+        if not modulus.is_monic() or not is_irreducible(modulus):
+            raise ValueError("modulus must be monic irreducible over F_p")
+        q = self.q = p**modulus.degree
+        polys = [UniPoly(p, self.coeffs(v)) for v in range(q)]
+        code = {f: v for v, f in enumerate(polys)}
+        mul_table = [[0] * q for _ in range(q)]
+        add_table = [[0] * q for _ in range(q)]
+        for a in range(q):
+            for b in range(a, q):
+                mul_table[a][b] = mul_table[b][a] = code[polys[a] * polys[b] % modulus]
+                add_table[a][b] = add_table[b][a] = code[polys[a] + polys[b]]
+        self.add = lambda a, b: add_table[a][b]
+        self.mul = lambda a, b: mul_table[a][b]
+        self.neg = [code[-f] for f in polys].__getitem__
 
-    @classmethod
-    def of(cls, modulus: UniPoly, n: int) -> "ExtFieldElem":
-        return cls(modulus.char, modulus, (n,))
+        def mul2(a, b):
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            m0, m1, m2, m3 = mul_table[a0], mul_table[a1], mul_table[a2], mul_table[a3]
+            return (
+                add_table[m0[b0]][m1[b2]],
+                add_table[m0[b1]][m1[b3]],
+                add_table[m2[b0]][m3[b2]],
+                add_table[m2[b1]][m3[b3]],
+            )
 
-    @classmethod
-    def from_poly(cls, modulus: UniPoly, f: UniPoly) -> "ExtFieldElem":
-        return cls(modulus.char, modulus, f.coeffs)
+        self.mul2 = mul2
 
-    @property
-    def field_size(self) -> int:
-        return self.p**self.modulus.degree
+    def encode(self, value) -> int:
+        """The encoding of an int (prime field) or a coefficient sequence, lowest
+        first (extension field); both may be non-canonical."""
+        if self.modulus is None:
+            return value % self.p
+        v = 0
+        for c in reversed((UniPoly(self.p, tuple(value)) % self.modulus).coeffs):
+            v = v * self.p + c
+        return v
 
-    def as_poly(self) -> UniPoly:
-        return UniPoly(self.p, self.coeffs)
+    def coeffs(self, v: int) -> tuple[int, ...]:
+        """The deg(modulus) coefficients, lowest first, of an extension-field element."""
+        out = []
+        for _ in range(self.modulus.degree):
+            v, c = divmod(v, self.p)
+            out.append(c)
+        return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+    def pow(self, v: int, e: int) -> int:
+        """v**e for e >= 0."""
+        if self.modulus is None:
+            return pow(v, e, self.p)
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self.mul(acc, v)
+            v = self.mul(v, v)
+            e >>= 1
+        return acc
 
-    def __add__(self, other: "ExtFieldElem") -> "ExtFieldElem":
-        self._check(other)
-        return ExtFieldElem(self.p, self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ExtFieldElem") -> "ExtFieldElem":
-        self._check(other)
-        return ExtFieldElem(self.p, self.modulus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "ExtFieldElem":
-        return ExtFieldElem(self.p, self.modulus, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "ExtFieldElem") -> "ExtFieldElem":
-        self._check(other)
-        prod = self.as_poly() * other.as_poly()
-        return ExtFieldElem(self.p, self.modulus, (prod % self.modulus).coeffs)
-
-    def __pow__(self, e: int) -> "ExtFieldElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = self.as_poly().powmod(e, self.modulus)
-        return ExtFieldElem(self.p, self.modulus, acc.coeffs)
-
-    def inverse(self) -> "ExtFieldElem":
-        if self.is_zero():
+    def inv(self, v: int) -> int:
+        if v == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.field_size - 2)
+        return self.pow(v, self.q - 2)
 
-    def __truediv__(self, other: "ExtFieldElem") -> "ExtFieldElem":
-        return self * other.inverse()
+    def render(self, v: int) -> str:
+        """'F7(3)' over a prime field, 'F3^2(x + 1)' over an extension field."""
+        if self.modulus is None:
+            return f"F{self.p}({v})"
+        return f"F{self.p}^{self.modulus.degree}({UniPoly(self.p, self.coeffs(v)).render()})"
 
-    def _check(self, other: "ExtFieldElem") -> None:
-        if self.p != other.p or self.modulus != other.modulus:
-            raise ValueError("field mismatch")
+    def identity(self, m: int) -> tuple[int, ...]:
+        return tuple(1 if i == j else 0 for i in range(m) for j in range(m))
 
-    def __repr__(self) -> str:
-        return f"F{self.p}^{self.modulus.degree}({self.as_poly().render()})"
+    def mat_mul(self, a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[int, ...]:
+        mul, add = self.mul, self.add
+        out = []
+        for i in range(m):
+            row = i * m
+            for j in range(m):
+                acc = 0
+                for k in range(m):
+                    acc = add(acc, mul(a[row + k], b[k * m + j]))
+                out.append(acc)
+        return tuple(out)
+
+    def product(self, m: int):
+        """The product of two m x m matrices, as a function of (a, b)."""
+        if m == 2:
+            return self.mul2
+        return lambda a, b: self.mat_mul(a, b, m)
+
+
+@lru_cache(maxsize=None)
+def finite_field(p: int, modulus: UniPoly | None) -> Field:
+    """The Field for (p, modulus), built on first use; raises ValueError unless
+    p is prime and the modulus, if any, is monic irreducible over F_p."""
+    return Field(p, modulus)

@@ -167,17 +167,17 @@ class MultiPoly:
             cs[d] = c
         return UniPoly(self.char, tuple(cs))
 
-    def evaluate(self, point: list, embed):
-        """Evaluate at field elements; `embed` lifts an int into the target field."""
+    def evaluate(self, point, field):
+        """Evaluate at encoded elements of a fields.Field; returns an encoded element."""
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
-        acc = embed(0)
+        acc = 0
         for exps, c in self.terms.items():
-            term = embed(c)
+            term = c % field.p
             for v, e in zip(point, exps):
                 if e:
-                    term = term * v**e
-            acc = acc + term
+                    term = field.mul(term, field.pow(v, e))
+            acc = field.add(acc, term)
         return acc
 
     def render(self, names: list[str] | tuple[str, ...] | None = None) -> str:

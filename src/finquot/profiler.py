@@ -17,19 +17,11 @@ from weakref import WeakKeyDictionary
 
 from .algebra import factorize, next_prime, primes
 from .errors import BudgetExceeded, FinquotError, NotFoundWithinBudget
-from .fields import ExtFieldElem, PFieldElem
+from .fields import Field, finite_field
 from .groups import GroupSpec, Word, ball_enumerate, word_evaluate
 from .multipoly import MultiPoly
 from .unipoly import UniPoly, enumerate_irreducibles
-from .witness import (
-    FieldHom,
-    FieldOps,
-    closure_order,
-    encode_matrix,
-    field_ops,
-    separate,
-    word_image,
-)
+from .witness import FieldHom, closure_order, separate, word_image
 
 
 def farb_z(n: int) -> int:
@@ -73,7 +65,7 @@ class _ScanHom:
     """
 
     label: str
-    q: int
+    field: Field
     order: int | None
     images: dict
 
@@ -91,22 +83,22 @@ class ReductionScanner:
         self.size = spec.size
         self.budget = budget
         self.floor = _quotient_floor(spec, budget)
-        self._ops: dict[int, FieldOps] = {}
         self._closure_cache: dict = {}
         homs = list(self._char0_homs(spec) if spec.char == 0 else self._charp_homs(spec))
         homs.sort(key=lambda h: (h.order if h.order is not None else math.inf, h.label))
         self.homs = homs
 
-    def _make_hom(self, spec: GroupSpec, label: str, hom: FieldHom, ops: FieldOps) -> _ScanHom | None:
-        if hom.apply(spec.phi).is_zero():
+    def _make_hom(self, spec: GroupSpec, label: str, hom: FieldHom) -> _ScanHom | None:
+        if hom.apply(spec.phi) == 0:
             return None
-        images = {l: encode_matrix(hom.apply_matrix(m), ops) for l, m in spec.generators.items()}
+        field = hom.field
+        images = {l: hom.apply_matrix(m) for l, m in spec.generators.items()}
         gens = tuple(images[l] for l in sorted(images) if not l.endswith("^-1"))
-        key = (ops.q, gens)
+        key = (field.q, gens)
         if key not in self._closure_cache:
-            self._closure_cache[key] = closure_order(gens, ops, spec.size, self.budget.order_budget)
+            self._closure_cache[key] = closure_order(gens, field, spec.size, self.budget.order_budget)
         order, exact = self._closure_cache[key]
-        return _ScanHom(label=label, q=hom.field_size, order=order if exact else None, images=images)
+        return _ScanHom(label=label, field=field, order=order if exact else None, images=images)
 
     def _char0_homs(self, spec: GroupSpec):
         for p in primes():
@@ -114,10 +106,8 @@ class ReductionScanner:
                 break
             if p in spec.excluded_primes:
                 continue
-            ops = self._ops.setdefault(p, field_ops(FieldHom(p, None, (), ())))
             for tup in itertools.product(range(p), repeat=spec.nvars):
-                images = tuple(PFieldElem.of(p, c) for c in tup)
-                scan = self._make_hom(spec, f"p={p},t={tup}", FieldHom(p, None, images, ()), ops)
+                scan = self._make_hom(spec, f"p={p},t={tup}", FieldHom(p, None, tup, ()))
                 if scan is not None:
                     yield scan
 
@@ -131,9 +121,9 @@ class ReductionScanner:
         p = spec.char
         for j in range(1, self.budget.max_degree + 1):
             modulus = next(iter(enumerate_irreducibles(p, j)))
-            q = p**j
-            ops = self._ops.setdefault(q, field_ops(FieldHom(p, modulus, (), ())))
-            frob = [_encoded_pow(v, p, ops) for v in range(q)]
+            field = finite_field(p, modulus)
+            q = field.q
+            frob = [field.pow(v, p) for v in range(q)]
             seen = set()
             for tup in itertools.product(range(q), repeat=spec.nvars):
                 if tup in seen:
@@ -148,15 +138,9 @@ class ReductionScanner:
                     continue  # lands in a proper subfield; counted at smaller degree
                 if not spec.nvars and j > 1:
                     continue
-                images = tuple(
-                    ExtFieldElem(p, modulus, _decode_coeffs(v, p, j)) for v in tup
-                )
-                scan = self._make_hom(spec, f"q={q},t={tup}", FieldHom(p, modulus, images, ()), ops)
+                scan = self._make_hom(spec, f"q={q},t={tup}", FieldHom(p, modulus, tup, ()))
                 if scan is not None:
                     yield scan
-
-    def ops_for(self, scan: _ScanHom) -> FieldOps:
-        return self._ops[scan.q]
 
     def min_order(self, word: Word) -> tuple[int, bool]:
         """Smallest in-budget image order under which the word survives.
@@ -167,8 +151,8 @@ class ReductionScanner:
         """
         size = self.size
         for scan in self.homs:
-            ops = self.ops_for(scan)
-            if word_image(word.letters, scan.images, ops, size) != ops.identity(size):
+            field = scan.field
+            if word_image(word.letters, scan.images, field, size) != field.identity(size):
                 if scan.order is None:
                     raise BudgetExceeded(
                         "image order exceeds the closure budget",
@@ -178,25 +162,6 @@ class ReductionScanner:
         raise NotFoundWithinBudget(
             f"no reduction within budget separates {word.render()!r}"
         )
-
-
-def _encoded_pow(v: int, e: int, ops: FieldOps) -> int:
-    acc = 1
-    base = v
-    while e:
-        if e & 1:
-            acc = ops.mul(acc, base)
-        base = ops.mul(base, base)
-        e >>= 1
-    return acc
-
-
-def _decode_coeffs(v: int, p: int, deg: int) -> tuple[int, ...]:
-    coeffs = []
-    for _ in range(deg):
-        v, rem = divmod(v, p)
-        coeffs.append(rem)
-    return tuple(coeffs)
 
 
 def _quotient_floor(spec: GroupSpec, budget: ReductionBudget) -> int:
@@ -290,7 +255,8 @@ def _golden_roots_within(p: int, max_degree: int) -> bool:
         factor = remaining.gcd(frob - x)
         while factor.degree > 0:
             quo, rem = remaining.divmod(factor)
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise FinquotError("a gcd factor failed to divide X^4 + 3X^2 + 1")
             remaining = quo
             factor = remaining.gcd(factor)
     return remaining.degree == 0

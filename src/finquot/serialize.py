@@ -13,7 +13,7 @@ import os
 
 from .algebra import is_prime
 from .errors import EntryParseError, SpecFileError
-from .fields import ExtFieldElem, PFieldElem
+from .fields import finite_field
 from .groups import NAMED_GROUPS, GroupSpec, Word
 from .parsing import parse_entry
 from .profiler import FarbProfile, ReductionBudget
@@ -150,10 +150,10 @@ def merge_budget(*overrides: dict) -> ReductionBudget:
 
 def _hom_to_data(hom: FieldHom) -> dict:
     if hom.modulus is None:
-        images = [e.value for e in hom.images]
+        images = list(hom.images)
         modulus = None
     else:
-        images = [list(e.coeffs) for e in hom.images]
+        images = [list(hom.field.coeffs(v)) for v in hom.images]
         modulus = list(hom.modulus.coeffs)
     return {
         "char": hom.char,
@@ -165,13 +165,12 @@ def _hom_to_data(hom: FieldHom) -> dict:
 
 
 def _hom_from_data(data) -> FieldHom:
+    """Checks the field (prime char, monic irreducible modulus) and brings the
+    images to canonical form."""
     char = data["char"]
-    if data["modulus"] is None:
-        modulus = None
-        images = tuple(PFieldElem.of(char, v) for v in data["images"])
-    else:
-        modulus = UniPoly(char, tuple(data["modulus"]))
-        images = tuple(ExtFieldElem(char, modulus, tuple(cs)) for cs in data["images"])
+    modulus = None if data["modulus"] is None else UniPoly(char, tuple(data["modulus"]))
+    field = finite_field(char, modulus)
+    images = tuple(field.encode(v) for v in data["images"])
     return FieldHom(char, modulus, images, tuple(data["exponents"]), data["ell"])
 
 

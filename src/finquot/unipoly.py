@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import factorize, is_prime, mobius
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FinquotError
 
 IRREDUCIBLE_ENUM_BUDGET = 1 << 20
 
@@ -208,7 +208,8 @@ def gauss_irreducible_count(p: int, ell: int) -> int:
     if ell < 1:
         raise ValueError("degree must be >= 1")
     total = sum(mobius(d) * p ** (ell // d) for d in range(1, ell + 1) if ell % d == 0)
-    assert total % ell == 0
+    if total % ell:
+        raise FinquotError(f"Gauss count sum {total} is not divisible by {ell}")
     return total // ell
 
 

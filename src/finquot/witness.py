@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import primes, smallest_prime_not_dividing
 from .errors import FinquotError, IdentityWordError
-from .fields import ExtFieldElem, PFieldElem
+from .fields import Field, finite_field
 from .groups import GroupSpec, Word, scaled_difference, word_evaluate
 from .multipoly import MultiPoly, substitution_exponents
 from .ratfunc import FieldMatrix
@@ -28,55 +28,53 @@ ORDER_BUDGET = 1 << 17
 class FieldHom:
     """A homomorphism from the coefficient ring into a finite field.
 
-    Characteristic-0 sources map into the prime field Z/p (modulus None,
-    integer images); characteristic-p sources map into F_p[x]/(modulus)
-    (ExtFieldElem images).  exponents and ell record how the images were
-    derived, enough to audit the construction.
+    Characteristic-0 sources map into the prime field Z/p (modulus None);
+    characteristic-p sources map into F_p[x]/(modulus).  images are the
+    variables' images, encoded as in fields.Field.  exponents and ell record
+    how the images were derived, enough to audit the construction.
     """
 
     char: int
     modulus: UniPoly | None
-    images: tuple
+    images: tuple[int, ...]
     exponents: tuple[int, ...]
     ell: int | None = None
 
     @property
+    def field(self) -> Field:
+        return finite_field(self.char, self.modulus)
+
+    @property
     def field_size(self) -> int:
-        return self.char if self.modulus is None else self.char ** self.modulus.degree
+        return self.field.q
 
-    def embed(self, n: int):
-        if self.modulus is None:
-            return PFieldElem.of(self.char, n)
-        return ExtFieldElem.of(self.modulus, n)
+    def apply(self, f: MultiPoly) -> int:
+        """Encoded image of a polynomial; source arity must match the image tuple."""
+        return f.evaluate(self.images, self.field)
 
-    def apply(self, f: MultiPoly):
-        """Image of a polynomial; source arity must match the image tuple."""
-        return f.evaluate(list(self.images), self.embed)
-
-    def apply_matrix(self, mat: FieldMatrix):
-        """Entrywise image of a matrix of rational functions.
+    def apply_matrix(self, mat: FieldMatrix) -> tuple[int, ...]:
+        """Entrywise image of a matrix of rational functions, flat and row-major.
 
         Denominators must map to units; a zero denominator image raises,
         which separate() precludes by folding phi into the witness target.
         """
-        out = []
+        field = self.field
+        cells = []
         for row in mat.rows:
-            cells = []
             for entry in row:
-                if entry.is_poly():
-                    cells.append(self.apply(entry.num))
-                    continue
-                den = self.apply(entry.den)
-                if den.is_zero():
-                    raise ZeroDivisionError("denominator dies under the homomorphism")
-                cells.append(self.apply(entry.num) / den)
-            out.append(tuple(cells))
-        return tuple(out)
+                value = entry.num.evaluate(self.images, field)
+                if not entry.is_poly():
+                    den = entry.den.evaluate(self.images, field)
+                    if den == 0:
+                        raise ZeroDivisionError("denominator dies under the homomorphism")
+                    value = field.mul(value, field.inv(den))
+                cells.append(value)
+        return tuple(cells)
 
     def describe(self) -> str:
-        tgt = f"F_{self.field_size}"
-        ims = ", ".join(repr(v) for v in self.images)
-        return f"{tgt}[{ims}]"
+        field = self.field
+        ims = ", ".join(field.render(v) for v in self.images)
+        return f"F_{field.q}[{ims}]"
 
 
 @dataclass(frozen=True)
@@ -116,12 +114,15 @@ def charzero_witness(f: MultiPoly, excluded: frozenset[int] = frozenset()) -> Fi
         if value:
             ell = cand
             break
-    assert ell, "a degree-r polynomial cannot vanish at r+1 points"
-    assert abs(value) <= (r + 1) * ell**r * big_a, "evaluation bound violated"
+    if not ell:
+        raise FinquotError("a degree-r polynomial cannot vanish at r+1 points")
+    if abs(value) > (r + 1) * ell**r * big_a:
+        raise FinquotError("evaluation bound violated")
     p = smallest_prime_not_dividing(value, excluded)
-    images = tuple(PFieldElem.of(p, pow(ell, n, p)) for n in choice.exponents)
+    images = tuple(pow(ell, n, p) for n in choice.exponents)
     hom = FieldHom(char=p, modulus=None, images=images, exponents=choice.exponents, ell=ell)
-    assert not hom.apply(f).is_zero(), "witness construction failed to preserve f"
+    if hom.apply(f) == 0:
+        raise FinquotError("witness construction failed to preserve f")
     return hom
 
 
@@ -145,15 +146,18 @@ def charp_witness(f: MultiPoly) -> FieldHom:
     ell = 0
     while modulus is None:
         ell += 1
-        assert ell <= deg_g + 1, "degree scan must terminate by the factor-count bound"
+        if ell > deg_g + 1:
+            raise FinquotError("degree scan must terminate by the factor-count bound")
         for h in enumerate_irreducibles(p, ell):
             if _sparse_mod(g, h):
                 modulus = h
                 break
-    x = UniPoly.x(p)
-    images = tuple(ExtFieldElem.from_poly(modulus, x.powmod(n, modulus)) for n in choice.exponents)
+    field = finite_field(p, modulus)
+    x = field.encode((0, 1))
+    images = tuple(field.pow(x, n) for n in choice.exponents)
     hom = FieldHom(char=p, modulus=modulus, images=images, exponents=choice.exponents, ell=ell)
-    assert not hom.apply(f).is_zero(), "witness construction failed to preserve f"
+    if hom.apply(f) == 0:
+        raise FinquotError("witness construction failed to preserve f")
     return hom
 
 
@@ -197,16 +201,16 @@ def separate(
     target = spec.phi * cell
     hom = polynomial_witness(target, spec.excluded_primes)
 
-    ops = field_ops(hom)
-    ims = {label: encode_matrix(hom.apply_matrix(mat), ops) for label, mat in spec.generators.items()}
-    verified = word_image(word.letters, ims, ops, spec.size) != ops.identity(spec.size)
+    field = hom.field
+    ims = {label: hom.apply_matrix(mat) for label, mat in spec.generators.items()}
+    verified = word_image(word.letters, ims, field, spec.size) != field.identity(spec.size)
     if not verified:
         raise FinquotError("witness homomorphism failed to move the word off the identity")
 
     order = exact = None
     if order_budget is not None:
         order, exact = closure_order(
-            [ims[l] for l in sorted(ims) if not l.endswith("^-1")], ops, spec.size, order_budget
+            [ims[l] for l in sorted(ims) if not l.endswith("^-1")], field, spec.size, order_budget
         )
         if not exact:
             order = hom.field_size ** (spec.size**2)
@@ -238,20 +242,20 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         return False, "gl-bound-mismatch"
     if len(hom.images) != spec.nvars:
         return False, "image-arity-mismatch"
-    if hom.apply(spec.phi).is_zero():
+    if hom.apply(spec.phi) == 0:
         return False, "denominator-killed"
     for mat in spec.generators.values():
         for row in mat.rows:
             for cell in row:
-                if hom.apply(cell.den).is_zero():
+                if hom.apply(cell.den) == 0:
                     return False, "denominator-killed"
-    ops = field_ops(hom)
+    field = hom.field
     try:
-        ims = {label: encode_matrix(hom.apply_matrix(mat), ops) for label, mat in spec.generators.items()}
+        ims = {label: hom.apply_matrix(mat) for label, mat in spec.generators.items()}
     except ZeroDivisionError:
         return False, "denominator-killed"
     for mat in ims.values():
-        if _det(mat, ops, spec.size) == 0:
+        if _det(mat, field, spec.size) == 0:
             return False, "singular-generator"
     letters = record.word.letters
     if record.word_length != len(letters):
@@ -261,184 +265,54 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     m, n = spec.size, len(letters)
     cuts = sorted({c for c in (1, n // 2, n - 1) if 0 < c < n})
     prefixes = {}
-    prod, done = ops.identity(m), 0
+    prod, done = field.identity(m), 0
     for cut in (*cuts, n):
-        prod = word_image(letters[done:cut], ims, ops, m, start=prod)
+        prod = word_image(letters[done:cut], ims, field, m, start=prod)
         prefixes[cut], done = prod, cut
-    if prod == ops.identity(m):
+    if prod == field.identity(m):
         return False, "word-collapses"
-    mul = ops.product(m)
+    mul = field.product(m)
     for cut in cuts:
-        if mul(prefixes[cut], word_image(letters[cut:], ims, ops, m)) != prod:
+        if mul(prefixes[cut], word_image(letters[cut:], ims, field, m)) != prod:
             return False, "multiplicativity"
     return True, "ok"
 
 
 def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> tuple[int, bool]:
     """Exact order of the image group by closure, or (gl_bound, False) past budget."""
-    ops = field_ops(hom)
-    gens = [
-        encode_matrix(hom.apply_matrix(mat), ops)
-        for label, mat in sorted(spec.generators.items())
-        if not label.endswith("^-1")
-    ]
-    order, exact = closure_order(gens, ops, spec.size, budget)
+    base = [mat for label, mat in sorted(spec.generators.items()) if not label.endswith("^-1")]
+    order, exact = closure_order([hom.apply_matrix(mat) for mat in base], hom.field, spec.size, budget)
     if not exact:
         return hom.field_size ** (spec.size**2), False
     return order, True
 
 
-# Finite-field matrices are encoded as flat row-major tuples of ints so that
-# closure enumeration and dedup run on machine integers, not wrapper objects.
-# A prime-field element is its residue mod p; an extension-field element is
-# its coefficient vector read as a base-p integer, with mul/add tables.
-#
-# Every product goes through FieldOps.product(m).  For m = 2 that is the
-# unrolled kernel field_ops builds per field: plain `% p` arithmetic over a
-# prime field, mul/add table lookups over an extension field.  Other sizes
-# use the generic FieldOps.mat_mul, which is also the reference the tests
-# compare the kernel against.
-
-
-class FieldOps:
-    """Integer-encoded arithmetic for one finite field."""
-
-    __slots__ = ("q", "mul", "add", "neg", "mul2")
-
-    def __init__(self, q, mul, add, neg, mul2):
-        self.q = q
-        self.mul = mul
-        self.add = add
-        self.neg = neg
-        self.mul2 = mul2
-
-    def identity(self, m: int) -> tuple[int, ...]:
-        return tuple(1 if i == j else 0 for i in range(m) for j in range(m))
-
-    def mat_mul(self, a: tuple[int, ...], b: tuple[int, ...], m: int) -> tuple[int, ...]:
-        mul, add = self.mul, self.add
-        out = []
-        for i in range(m):
-            row = i * m
-            for j in range(m):
-                acc = 0
-                for k in range(m):
-                    acc = add(acc, mul(a[row + k], b[k * m + j]))
-                out.append(acc)
-        return tuple(out)
-
-    def product(self, m: int):
-        """The product of two m x m matrices, as a function of (a, b)."""
-        if m == 2:
-            return self.mul2
-        return lambda a, b: self.mat_mul(a, b, m)
-
-
-def field_ops(hom: FieldHom) -> FieldOps:
-    p = hom.char
-    if hom.modulus is None:
-
-        def mul2(a, b):
-            a0, a1, a2, a3 = a
-            b0, b1, b2, b3 = b
-            return (
-                (a0 * b0 + a1 * b2) % p,
-                (a0 * b1 + a1 * b3) % p,
-                (a2 * b0 + a3 * b2) % p,
-                (a2 * b1 + a3 * b3) % p,
-            )
-
-        return FieldOps(p, lambda a, b: a * b % p, lambda a, b: (a + b) % p, lambda a: -a % p, mul2)
-    h = hom.modulus
-    q = p**h.degree
-    mul_table = [[0] * q for _ in range(q)]
-    add_table = [[0] * q for _ in range(q)]
-    neg_table = [0] * q
-    polys = [_decode_poly(v, p, h.degree) for v in range(q)]
-    for a in range(q):
-        pa = polys[a]
-        neg_table[a] = _encode_poly(-pa, p, h.degree)
-        for b in range(a, q):
-            pb = polys[b]
-            mv = _encode_poly((pa * pb) % h, p, h.degree)
-            av = _encode_poly(pa + pb, p, h.degree)
-            mul_table[a][b] = mul_table[b][a] = mv
-            add_table[a][b] = add_table[b][a] = av
-
-    def mul2(a, b):
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        m0, m1, m2, m3 = mul_table[a0], mul_table[a1], mul_table[a2], mul_table[a3]
-        return (
-            add_table[m0[b0]][m1[b2]],
-            add_table[m0[b1]][m1[b3]],
-            add_table[m2[b0]][m3[b2]],
-            add_table[m2[b1]][m3[b3]],
-        )
-
-    return FieldOps(
-        q,
-        lambda a, b: mul_table[a][b],
-        lambda a, b: add_table[a][b],
-        lambda a: neg_table[a],
-        mul2,
-    )
-
-
-def _decode_poly(v: int, p: int, deg: int) -> UniPoly:
-    coeffs = []
-    for _ in range(deg):
-        v, rem = divmod(v, p)
-        coeffs.append(rem)
-    return UniPoly(p, tuple(coeffs))
-
-
-def _encode_poly(f: UniPoly, p: int, deg: int) -> int:
-    v = 0
-    for c in reversed(f.coeffs):
-        v = v * p + c
-    return v
-
-
-def encode_elem(value) -> int:
-    if isinstance(value, PFieldElem):
-        return value.value
-    v = 0
-    for c in reversed(value.coeffs):
-        v = v * value.p + c
-    return v
-
-
-def encode_matrix(rows, ops: FieldOps) -> tuple[int, ...]:
-    return tuple(encode_elem(cell) for row in rows for cell in row)
-
-
-def _det(mat: tuple[int, ...], ops: FieldOps, m: int) -> int:
+def _det(mat: tuple[int, ...], field: Field, m: int) -> int:
     if m == 1:
         return mat[0]
     acc = 0
     sign_neg = False
     for j in range(m):
         minor = tuple(mat[r * m + c] for r in range(1, m) for c in range(m) if c != j)
-        term = ops.mul(mat[j], _det(minor, ops, m - 1))
-        acc = ops.add(acc, ops.neg(term) if sign_neg else term)
+        term = field.mul(mat[j], _det(minor, field, m - 1))
+        acc = field.add(acc, field.neg(term) if sign_neg else term)
         sign_neg = not sign_neg
     return acc
 
 
-def word_image(letters, images, ops: FieldOps, m: int, start=None) -> tuple[int, ...]:
+def word_image(letters, images, field: Field, m: int, start=None) -> tuple[int, ...]:
     """start (the identity by default) times the images of the letters, left to right."""
-    mul = ops.product(m)
-    prod = ops.identity(m) if start is None else start
+    mul = field.product(m)
+    prod = field.identity(m) if start is None else start
     for letter in letters:
         prod = mul(prod, images[letter])
     return prod
 
 
-def closure_order(gens, ops: FieldOps, m: int, budget: int) -> tuple[int, bool]:
+def closure_order(gens, field: Field, m: int, budget: int) -> tuple[int, bool]:
     """Size of the generated group by breadth-first closure under the generators."""
-    mul = ops.product(m)
-    ident = ops.identity(m)
+    mul = field.product(m)
+    ident = field.identity(m)
     seen = {ident}
     mark = seen.add
     frontier = [ident]

@@ -132,7 +132,7 @@ def test_criterion_04_every_short_word_separates(corpus):
             rec = records[element.word.letters]
             ok, reason = verify_witness(spec, rec)
             assert rec.verified and ok, (element.word.render(), reason)
-            assert not rec.hom.apply(spec.phi).is_zero()
+            assert rec.hom.apply(spec.phi) != 0
             checked += 1
     report(4, checked == len(corpus["sanov"][1]) + len(corpus["sanov3"][1]),
            f"all {checked} nontrivial words of length <= {RADIUS} verified in both groups")
@@ -192,8 +192,7 @@ def test_criterion_06_reduction_sandwich(corpus):
     order_cache = {}
 
     def witness_order(spec, hom):
-        images = tuple(e.coeffs if hasattr(e, "coeffs") else e.value for e in hom.images)
-        key = (id(spec), hom.char, tuple(hom.modulus.coeffs) if hom.modulus else None, images)
+        key = (id(spec), hom.char, tuple(hom.modulus.coeffs) if hom.modulus else None, hom.images)
         if key not in order_cache:
             order, exact = image_order(spec, hom)
             assert exact

@@ -194,3 +194,109 @@ def test_selftest(capsys):
     assert code == 0
     assert "selftest passed" in out
     assert "seed=11" in out
+
+
+def test_budget_env_outranks_spec_file(tmp_path, capsys, monkeypatch):
+    # README order: defaults, then the spec file, then FINQUOT_BUDGETS, then flags
+    spec = {
+        "characteristic": 0,
+        "variables": [],
+        "generators": {"a": [["1", "1"], ["0", "1"]]},
+        "budgets": {"max_prime": 31},
+    }
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "profile", str(path), "--radius", "6")
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "6,12,625,5,5,true"
+    monkeypatch.setenv("FINQUOT_BUDGETS", json.dumps({"max_prime": 3}))
+    code, out, _ = run(capsys, "profile", str(path), "--radius", "6")
+    assert code == 0
+    assert out.strip().split("\n")[-1].split(",")[4:] == ["3", "false"]
+    code, out, _ = run(capsys, "profile", str(path), "--radius", "6", "--max-prime", "5")
+    assert code == 0
+    assert out.strip().split("\n")[-1].split(",")[4:] == ["5", "true"]
+
+
+_BROKEN_SELFTEST = """
+import sys
+from finquot import cli
+cli.farb_z = lambda n: 0
+sys.exit(cli.main(["selftest"]))
+"""
+
+
+def test_selftest_failure_survives_python_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import finquot
+
+    src = str(Path(finquot.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_SELFTEST], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1
+    assert "passed" not in proc.stdout
+    record = json.loads(proc.stderr)
+    assert record["error"] == "FinquotError"
+    assert "selftest check failed" in record["message"]
+
+
+def _witness_data(capsys, spec, word):
+    code, out, _ = run(capsys, "witness", spec, "--word", word)
+    assert code == 0
+    return json.loads(out)
+
+
+def _verify_data(tmp_path, capsys, spec, data):
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "verify", spec, str(path))
+
+
+@pytest.mark.parametrize("spec,word", [("sanov", "a b"), ("cyclic", "a^3")])
+@pytest.mark.parametrize("char", [4, 1, 9])
+def test_verify_refuses_composite_characteristic(tmp_path, capsys, spec, word, char):
+    data = _witness_data(capsys, spec, word)
+    data["hom"]["char"] = char
+    data["field_size"] = char
+    data["gl_bound"] = char**4
+    code, out, err = _verify_data(tmp_path, capsys, spec, data)
+    assert code == 1
+    assert out == ""
+    assert "is not prime" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "spec,modulus",
+    [("sanov", [1, 0, 1]), ("sanov_f3", [1, 2]), ("sanov_f3", [1, 0, 2])],
+    ids=["reducible", "non-monic-linear", "non-monic-quadratic"],
+)
+def test_verify_refuses_bad_modulus(tmp_path, capsys, spec, modulus):
+    data = _witness_data(capsys, spec, "a b")
+    data["hom"]["modulus"] = modulus
+    data["hom"]["images"] = [[0, 1]]
+    code, out, err = _verify_data(tmp_path, capsys, spec, data)
+    assert code == 1
+    assert out == ""
+    assert "monic irreducible" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "spec,word,images",
+    [
+        ("diagonal", "a a a a", [9]),  # 2 in F_7
+        ("diagonal", "a a a a", [-5]),
+        ("sanov_f3", "b a^-1 b^-1 a^-1 b", [[1, 1, 1]]),  # 1 + x + x^2 = x mod x^2 + 1
+        ("sanov_f3", "b a^-1 b^-1 a^-1 b", [[3, 4]]),
+    ],
+)
+def test_verify_accepts_non_canonical_images(tmp_path, capsys, spec, word, images):
+    data = _witness_data(capsys, spec, word)
+    assert data["hom"]["images"] in ([2], [[0, 1]])
+    data["hom"]["images"] = images
+    assert _verify_data(tmp_path, capsys, spec, data) == (0, "ok\n", "")

@@ -5,99 +5,106 @@ import random
 
 import pytest
 
-from finquot.fields import ExtFieldElem, PFieldElem
+from finquot.fields import finite_field
 from finquot.unipoly import UniPoly
 
 
 def test_prime_field_matches_int_arithmetic():
     rng = random.Random(3)
     for p in (2, 3, 5, 7, 11, 101):
+        field = finite_field(p, None)
         for _ in range(50):
             a, b = rng.randrange(p), rng.randrange(p)
-            x, y = PFieldElem.of(p, a), PFieldElem.of(p, b)
-            assert (x + y).value == (a + b) % p
-            assert (x - y).value == (a - b) % p
-            assert (x * y).value == (a * b) % p
-            assert (-x).value == (-a) % p
-            assert (x ** 3).value == pow(a, 3, p)
+            assert field.add(a, b) == (a + b) % p
+            assert field.add(a, field.neg(b)) == (a - b) % p
+            assert field.mul(a, b) == (a * b) % p
+            assert field.neg(a) == (-a) % p
+            assert field.pow(a, 3) == pow(a, 3, p)
+            assert field.encode(a + 7 * p) == field.encode(a - p) == a
 
 
 def test_prime_field_inverse():
     for p in (2, 3, 5, 7, 13):
+        field = finite_field(p, None)
         for a in range(1, p):
-            x = PFieldElem.of(p, a)
-            assert (x * x.inverse()).value == 1
-            assert (x / x).value == 1
+            assert field.mul(a, field.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
-        PFieldElem.of(5, 0).inverse()
+        finite_field(5, None).inv(0)
 
 
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
-        PFieldElem.of(6, 1)
+        finite_field(6, None)
     with pytest.raises(ValueError):
-        PFieldElem.of(1, 0)
-
-
-def test_prime_field_cross_field_guard():
-    with pytest.raises(ValueError):
-        PFieldElem.of(3, 1) + PFieldElem.of(5, 1)
+        finite_field(1, None)
 
 
 F4 = UniPoly(2, (1, 1, 1))  # x^2 + x + 1
 
 
 def test_f4_arithmetic():
-    w = ExtFieldElem(2, F4, (0, 1))
-    one = ExtFieldElem.of(F4, 1)
-    assert w * w == w + one          # w^2 = w + 1
-    assert w ** 3 == one             # multiplicative order 3
-    assert (w + one) * (w + one) == w
-    assert w * w + w == one          # the trace-like identity w^2 + w = 1
+    field = finite_field(2, F4)
+    w, one = field.encode((0, 1)), 1
+    add, mul = field.add, field.mul
+    assert mul(w, w) == add(w, one)          # w^2 = w + 1
+    assert field.pow(w, 3) == one            # multiplicative order 3
+    assert mul(add(w, one), add(w, one)) == w
+    assert add(mul(w, w), w) == one          # the trace-like identity w^2 + w = 1
 
 
 def test_extension_reduces_on_construction():
-    w2 = ExtFieldElem(2, F4, (0, 0, 1))  # x^2 mod (x^2+x+1) = x + 1
-    assert w2.coeffs == (1, 1)
-    assert ExtFieldElem(2, F4, (3, 5)).coeffs == (1, 1)
+    field = finite_field(2, F4)
+    w2 = field.encode((0, 0, 1))  # x^2 mod (x^2+x+1) = x + 1
+    assert field.coeffs(w2) == (1, 1)
+    assert field.coeffs(field.encode((3, 5))) == (1, 1)
 
 
 def test_f9_inverses_exhaustive():
-    f9 = UniPoly(3, (1, 0, 1))  # x^2 + 1 is irreducible over F_3
-    one = ExtFieldElem.of(f9, 1)
+    field = finite_field(3, UniPoly(3, (1, 0, 1)))  # x^2 + 1 is irreducible over F_3
     count = 0
     for c0, c1 in itertools.product(range(3), repeat=2):
-        a = ExtFieldElem(3, f9, (c0, c1))
-        if a.is_zero():
+        a = field.encode((c0, c1))
+        if a == 0:
             with pytest.raises(ZeroDivisionError):
-                a.inverse()
+                field.inv(a)
             continue
-        assert a * a.inverse() == one
+        assert field.mul(a, field.inv(a)) == 1
         count += 1
     assert count == 8
 
 
 def test_extension_rejects_reducible_modulus():
     with pytest.raises(ValueError):
-        ExtFieldElem(2, UniPoly(2, (1, 0, 1)), (0, 1))  # x^2 + 1 = (x+1)^2
+        finite_field(2, UniPoly(2, (1, 0, 1)))  # x^2 + 1 = (x+1)^2
+    with pytest.raises(ValueError):
+        finite_field(3, UniPoly(3, (1, 0, 2)))  # not monic
+    with pytest.raises(ValueError):
+        finite_field(4, UniPoly(2, (1, 1, 1)))  # composite characteristic
 
 
 def test_extension_field_size():
-    assert ExtFieldElem.of(F4, 1).field_size == 4
-    f27 = UniPoly(3, (1, 2, 0, 1))
-    assert ExtFieldElem.of(f27, 1).field_size == 27
+    assert finite_field(2, F4).q == 4
+    assert finite_field(3, UniPoly(3, (1, 2, 0, 1))).q == 27
 
 
-def test_extension_cross_field_guard():
-    f9 = UniPoly(3, (1, 0, 1))
-    with pytest.raises(ValueError):
-        ExtFieldElem.of(F4, 1) + ExtFieldElem.of(f9, 1)
+def test_fields_are_built_once():
+    assert finite_field(2, F4) is finite_field(2, UniPoly(2, (1, 1, 1)))
+    assert finite_field(7, None) is finite_field(7, None)
+    assert finite_field(7, None) is not finite_field(7, UniPoly(7, (0, 1)))
+
+
+def test_render():
+    assert finite_field(7, None).render(3) == "F7(3)"
+    f9 = finite_field(3, UniPoly(3, (1, 0, 1)))
+    assert f9.render(f9.encode((1, 1))) == "F3^2(x + 1)"
+    assert f9.render(0) == "F3^2(0)"
+    f3 = finite_field(3, UniPoly(3, (1, 1)))  # degree-1 modulus: x = -1 = 2
+    assert f3.render(f3.encode((0, 1))) == "F3^1(2)"
 
 
 def test_extension_frobenius_is_additive():
     # a -> a^p is a field automorphism; spot check additivity on F_8
-    f8 = UniPoly(2, (1, 1, 0, 1))
-    elems = [ExtFieldElem(2, f8, (a, b, c)) for a in range(2) for b in range(2) for c in range(2)]
-    for a in elems:
-        for b in elems:
-            assert (a + b) ** 2 == a**2 + b**2
+    field = finite_field(2, UniPoly(2, (1, 1, 0, 1)))
+    for a in range(8):
+        for b in range(8):
+            assert field.pow(field.add(a, b), 2) == field.add(field.pow(a, 2), field.pow(b, 2))

@@ -1,5 +1,5 @@
 """The unrolled 2x2 field kernel and the closure built on it, checked
-against the generic FieldOps.mat_mul they replace."""
+against the generic Field.mat_mul they replace."""
 
 from __future__ import annotations
 
@@ -8,18 +8,18 @@ import random
 import pytest
 
 from finquot.algebra import is_prime
-from finquot.fields import PFieldElem
+from finquot.fields import finite_field
 from finquot.groups import GroupSpec
 from finquot.multipoly import MultiPoly
 from finquot.ratfunc import FieldMatrix, RatFunc
 from finquot.unipoly import enumerate_irreducibles
-from finquot.witness import FieldHom, closure_order, field_ops, image_order, separate, verify_witness
+from finquot.witness import FieldHom, closure_order, image_order, separate, verify_witness
 
 
-def _ops(p: int, degree: int = 1):
+def _field(p: int, degree: int = 1):
     if degree == 1:
-        return field_ops(FieldHom(p, None, (), ()))
-    return field_ops(FieldHom(p, next(iter(enumerate_irreducibles(p, degree))), (), ()))
+        return finite_field(p, None)
+    return finite_field(p, next(iter(enumerate_irreducibles(p, degree))))
 
 
 # Every field the default reduction scanners use: primes up to 31 for char 0,
@@ -27,15 +27,15 @@ def _ops(p: int, degree: int = 1):
 FIELDS = [(p, 1) for p in range(2, 32) if is_prime(p)] + [(3, 2), (3, 3), (2, 2), (2, 3)]
 
 
-def _reference_closure(gens, ops, m, budget):
-    ident = ops.identity(m)
+def _reference_closure(gens, field, m, budget):
+    ident = field.identity(m)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for elem in frontier:
             for g in gens:
-                cand = ops.mat_mul(elem, g, m)
+                cand = field.mat_mul(elem, g, m)
                 if cand not in seen:
                     seen.add(cand)
                     if len(seen) > budget:
@@ -47,42 +47,42 @@ def _reference_closure(gens, ops, m, budget):
 
 @pytest.mark.parametrize("p,degree", FIELDS)
 def test_kernel_matches_mat_mul(p, degree):
-    ops = _ops(p, degree)
-    assert ops.q == p**degree
-    rng = random.Random(ops.q)
+    field = _field(p, degree)
+    assert field.q == p**degree
+    rng = random.Random(field.q)
     for _ in range(300):
-        a = tuple(rng.randrange(ops.q) for _ in range(4))
-        b = tuple(rng.randrange(ops.q) for _ in range(4))
-        assert ops.product(2)(a, b) == ops.mat_mul(a, b, 2)
+        a = tuple(rng.randrange(field.q) for _ in range(4))
+        b = tuple(rng.randrange(field.q) for _ in range(4))
+        assert field.product(2)(a, b) == field.mat_mul(a, b, 2)
 
 
 @pytest.mark.parametrize("p,degree", [(2, 1), (7, 1), (31, 1), (2, 2), (3, 2), (3, 3)])
 def test_closure_matches_reference(p, degree):
     # opposite unipotents with parameter c: SL(2, F_p(c^2)) or a subgroup
-    ops = _ops(p, degree)
-    c = ops.q - 1
+    field = _field(p, degree)
+    c = field.q - 1
     gens = [(1, c, 0, 1), (1, 0, c, 1)]
-    got = closure_order(gens, ops, 2, 200_000)
-    assert got == _reference_closure(gens, ops, 2, 200_000)
+    got = closure_order(gens, field, 2, 200_000)
+    assert got == _reference_closure(gens, field, 2, 200_000)
     assert got[1]
 
 
 def test_closure_budget_cut_matches_reference():
-    ops = _ops(31)
+    field = _field(31)
     gens = [(1, 1, 0, 1), (1, 0, 1, 1)]
-    got = closure_order(gens, ops, 2, 1000)
-    assert got == _reference_closure(gens, ops, 2, 1000) == (1001, False)
-    ops27 = _ops(3, 3)
+    got = closure_order(gens, field, 2, 1000)
+    assert got == _reference_closure(gens, field, 2, 1000) == (1001, False)
+    field27 = _field(3, 3)
     gens27 = [(1, 3, 0, 1), (1, 0, 3, 1)]
-    got = closure_order(gens27, ops27, 2, 5000)
-    assert got == _reference_closure(gens27, ops27, 2, 5000) == (5001, False)
+    got = closure_order(gens27, field27, 2, 5000)
+    assert got == _reference_closure(gens27, field27, 2, 5000) == (5001, False)
 
 
 def test_closure_3x3_matches_reference():
-    ops = _ops(3)
+    field = _field(3)
     gens = [(1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1, 0, 0, 1), (2, 0, 0, 0, 1, 0, 0, 0, 1)]
-    got = closure_order(gens, ops, 3, 10_000)
-    assert got == _reference_closure(gens, ops, 3, 10_000) == (54, True)
+    got = closure_order(gens, field, 3, 10_000)
+    assert got == _reference_closure(gens, field, 3, 10_000) == (54, True)
 
 
 def test_default_scanner_totals(sanov_scanner, sanov3_scanner):
@@ -109,4 +109,4 @@ def test_heisenberg_commutator_through_generic_path():
     assert (rec.image_order, rec.image_order_exact) == (8, True)
     assert verify_witness(spec, rec) == (True, "ok")
     assert image_order(spec, rec.hom) == (8, True)
-    assert image_order(spec, FieldHom(3, None, (PFieldElem.of(3, 1),), (1,))) == (27, True)
+    assert image_order(spec, FieldHom(3, None, (1,), (1,))) == (27, True)

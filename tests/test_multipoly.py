@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from finquot.fields import PFieldElem
+from finquot.fields import finite_field
 from finquot.multipoly import MultiPoly, mp_divexact, mp_gcd, substitution_exponents
 from finquot.unipoly import UniPoly
 
@@ -59,16 +59,19 @@ def test_total_degree():
 
 def test_evaluate():
     f = var(0) * var(1) - const(1)
-    assert f.evaluate([2, 3], int) == 5
+    assert f.evaluate([2, 3], finite_field(101, None)) == 5
+    assert f.evaluate([2, 3], finite_field(5, None)) == 0
     g = MultiPoly(3, 1, {(2,): 1})
-    assert g.evaluate([PFieldElem.of(3, 2)], lambda c: PFieldElem.of(3, c)).value == 1
+    assert g.evaluate([2], finite_field(3, None)) == 1
+    f9 = finite_field(3, UniPoly(3, (1, 0, 1)))  # x^2 = -1
+    assert g.evaluate([f9.encode((0, 1))], f9) == f9.encode((-1,))
 
 
 def test_substitute_powers_examples():
     x1, x2 = var(0), var(1)
     assert (x1 - x2).substitute_powers((1, 0)) == UniPoly(0, (-1, 1))
     f = MultiPoly(0, 2, {(2, 1): 3, (0, 0): -2})
-    assert f.substitute_powers((0, 0)) == UniPoly(0, (f.evaluate([1, 1], int),))
+    assert f.substitute_powers((0, 0)) == UniPoly(0, (sum(f.terms.values()),))  # f(1, 1)
     assert (x1 * x2).substitute_powers((2, 3)) == UniPoly(0, (0, 0, 0, 0, 0, 1))
 
 
