@@ -17,15 +17,17 @@ from .algebra import dz
 from .errors import FinquotError
 from .groups import sanov_group, cyclic_group
 from .multipoly import MultiPoly, substitution_exponents
-from .profiler import farb_profile, farb_z, inequality_audit, threshold_check
+from .profiler import ReductionBudget, farb_profile, farb_z, inequality_audit, threshold_check
 from .serialize import (
+    BUDGET_KEYS,
     PROFILE_HEADER,
     canonical_json,
+    check_budgets,
+    load_witness_file,
     merge_budget,
     profile_to_csv,
     resolve_spec,
     threshold_samples_from_csv,
-    witness_from_data,
     witness_to_data,
 )
 from .unipoly import gauss_irreducible_count
@@ -42,9 +44,15 @@ def _env_budgets() -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FinquotError(f"{BUDGET_ENV} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FinquotError(f"{BUDGET_ENV} must be a JSON object")
-    return data
+    return check_budgets(data, BUDGET_ENV)
+
+
+def _budgets(file_budgets: dict, args) -> tuple[ReductionBudget, int | None]:
+    """The reduction budget and the ball budget.  Later sources win: defaults,
+    the spec file's budgets (checked on load), FINQUOT_BUDGETS, then flags."""
+    flags = {key: getattr(args, key) for key in BUDGET_KEYS if getattr(args, key, None) is not None}
+    merged = {**file_budgets, **_env_budgets(), **check_budgets(flags, "command-line flags")}
+    return merge_budget(merged), merged.get("ball_budget")
 
 
 def _error_record(exc: BaseException) -> str:
@@ -64,7 +72,7 @@ def _emit(text: str, out_path: str | None):
 
 def _cmd_witness(args) -> int:
     spec, file_budgets, fp = resolve_spec(args.spec)
-    budget = merge_budget(file_budgets, _env_budgets(), {"order_budget": args.order_budget})
+    budget, _ = _budgets(file_budgets, args)
     word = spec.word(args.word)
     record = separate(spec, word, order_budget=budget.order_budget)
     _emit(canonical_json(witness_to_data(record, fp)) + "\n", args.out)
@@ -73,12 +81,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec, _, fp = resolve_spec(args.spec)
-    try:
-        with open(args.witness_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FinquotError(f"cannot load witness file: {exc}") from exc
-    record, recorded_fp = witness_from_data(data)
+    record, recorded_fp = load_witness_file(args.witness_file)
     if recorded_fp != fp:
         print("spec-fingerprint-mismatch")
         return 1
@@ -89,16 +92,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_profile(args) -> int:
     spec, file_budgets, _ = resolve_spec(args.spec)
-    flags = {
-        "max_prime": args.max_prime,
-        "max_degree": args.max_degree,
-        "order_budget": args.order_budget,
-    }
-    env_budgets = _env_budgets()
-    budget = merge_budget(file_budgets, env_budgets, flags)
-    ball_budget = args.ball_budget
-    if ball_budget is None:
-        ball_budget = env_budgets.get("ball_budget") or file_budgets.get("ball_budget")
+    budget, ball_budget = _budgets(file_budgets, args)
     profile = farb_profile(spec, args.radius, budget, ball_budget=ball_budget)
     _emit(profile_to_csv(profile), args.out)
     return 0

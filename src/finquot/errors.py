@@ -39,4 +39,4 @@ class EntryParseError(FinquotError):
 
 
 class SpecFileError(FinquotError):
-    """A group-specification or witness file is malformed."""
+    """A group-specification file, witness file or budget override is malformed."""

@@ -95,9 +95,13 @@ def compute_phi(matrices, char: int, nvars: int) -> tuple[MultiPoly, frozenset[i
 
 
 class GroupSpec:
-    """Immutable description of a matrix group over Q(T) or F_p(T)."""
+    """Immutable description of a matrix group over Q(T) or F_p(T).
 
-    __slots__ = ("char", "variables", "size", "generators", "phi", "excluded_primes", "_cleared", "__weakref__")
+    generators maps every label and its inverse label to a matrix;
+    base_labels holds the given labels alone, sorted.
+    """
+
+    __slots__ = ("char", "variables", "size", "generators", "base_labels", "phi", "excluded_primes", "__weakref__")
 
     def __init__(self, char: int, variables: tuple[str, ...], generators: dict[str, FieldMatrix]):
         if char != 0 and not is_prime(char):
@@ -123,22 +127,12 @@ class GroupSpec:
         self.variables = variables
         self.size = sizes.pop()
         self.generators = alphabet
+        self.base_labels = tuple(sorted(generators))
         self.phi, self.excluded_primes = compute_phi(alphabet.values(), char, len(variables))
-        self._cleared = {
-            label: tuple(tuple(self._clear(entry) for entry in row) for row in mat.rows)
-            for label, mat in alphabet.items()
-        }
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def _clear(self, entry: RatFunc) -> MultiPoly:
-        return (RatFunc.of_poly(self.phi) * entry).as_poly()
-
-    def cleared_generator(self, label: str):
-        """phi * generator as a matrix of polynomials."""
-        return self._cleared[label]
 
     def matrix(self, label: str) -> FieldMatrix:
         try:
@@ -184,9 +178,6 @@ def growth_degree_bounds(spec: GroupSpec, word: Word, gamma: FieldMatrix | None 
 class BallElement:
     word: Word
     matrix: FieldMatrix
-
-    def render_key(self, names) -> str:
-        return self.matrix.render(names)
 
 
 def ball_enumerate(spec: GroupSpec, n: int, budget: int = BALL_BUDGET) -> list[BallElement]:

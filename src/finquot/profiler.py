@@ -21,7 +21,7 @@ from .fields import Field, finite_field
 from .groups import GroupSpec, Word, ball_enumerate, word_evaluate
 from .multipoly import MultiPoly
 from .unipoly import UniPoly, enumerate_irreducibles
-from .witness import FieldHom, closure_order, separate, word_image
+from .witness import FieldHom, image_order, separate, word_image
 
 
 def farb_z(n: int) -> int:
@@ -83,7 +83,6 @@ class ReductionScanner:
         self.size = spec.size
         self.budget = budget
         self.floor = _quotient_floor(spec, budget)
-        self._closure_cache: dict = {}
         homs = list(self._char0_homs(spec) if spec.char == 0 else self._charp_homs(spec))
         homs.sort(key=lambda h: (h.order if h.order is not None else math.inf, h.label))
         self.homs = homs
@@ -91,14 +90,10 @@ class ReductionScanner:
     def _make_hom(self, spec: GroupSpec, label: str, hom: FieldHom) -> _ScanHom | None:
         if hom.apply(spec.phi) == 0:
             return None
-        field = hom.field
-        images = {l: hom.apply_matrix(m) for l, m in spec.generators.items()}
-        gens = tuple(images[l] for l in sorted(images) if not l.endswith("^-1"))
-        key = (field.q, gens)
-        if key not in self._closure_cache:
-            self._closure_cache[key] = closure_order(gens, field, spec.size, self.budget.order_budget)
-        order, exact = self._closure_cache[key]
-        return _ScanHom(label=label, field=field, order=order if exact else None, images=images)
+        order, exact = image_order(spec, hom, self.budget.order_budget)
+        return _ScanHom(
+            label=label, field=hom.field, order=order if exact else None, images=hom.generator_images(spec)
+        )
 
     def _char0_homs(self, spec: GroupSpec):
         for p in primes():
@@ -191,9 +186,9 @@ def _quotient_floor(spec: GroupSpec, budget: ReductionBudget) -> int:
       at least nextprime(P).
     * Otherwise 2 (any nontrivial group has order >= 2).
     """
-    base = {l: m for l, m in spec.generators.items() if not l.endswith("^-1")}
+    base = [spec.generators[l] for l in spec.base_labels]
     if spec.size == 2 and len(base) == 2:
-        f = _opposite_unipotent_param(spec, base)
+        f = _opposite_unipotent_param(base)
         if f is not None:
             if spec.char == 0:
                 q = next_prime(budget.max_prime)
@@ -207,17 +202,16 @@ def _quotient_floor(spec: GroupSpec, budget: ReductionBudget) -> int:
                 return floor
             return 2
     if spec.size == 2 and len(base) == 1 and spec.char == 0:
-        mat = next(iter(base.values()))
-        if _is_constant_unipotent(mat):
+        if _is_constant_unipotent(base[0]):
             return next_prime(budget.max_prime)
     return 2
 
 
-def _opposite_unipotent_param(spec: GroupSpec, base: dict) -> MultiPoly | None:
+def _opposite_unipotent_param(base: list) -> MultiPoly | None:
     """The common off-diagonal polynomial f, if the generators are
     [[1,f],[0,1]] and [[1,0],[f,1]] in either order; None otherwise."""
     params = []
-    for mat in base.values():
+    for mat in base:
         rows = mat.rows
         if not (_is_one(rows[0][0]) and _is_one(rows[1][1])):
             return None

@@ -23,7 +23,7 @@ from .witness import FieldHom, WitnessRecord
 
 PROFILE_HEADER = "n,ball_size,max_gl_bound,max_image_order,max_d_reduction,exhaustive_flag"
 
-_BUDGET_KEYS = ("max_prime", "max_degree", "order_budget", "ball_budget")
+BUDGET_KEYS = ("max_prime", "max_degree", "order_budget", "ball_budget")
 
 
 def canonical_json(data) -> str:
@@ -40,7 +40,6 @@ def spec_to_data(spec: GroupSpec) -> dict:
     Entries are re-rendered, so two files differing only in formatting map
     to the same data and hence the same fingerprint.
     """
-    base = sorted(l for l in spec.generators if not l.endswith("^-1"))
     return {
         "characteristic": spec.char,
         "variables": list(spec.variables),
@@ -49,7 +48,7 @@ def spec_to_data(spec: GroupSpec) -> dict:
                 [cell.render(spec.variables) for cell in row]
                 for row in spec.generators[label].rows
             ]
-            for label in base
+            for label in spec.base_labels
         },
     }
 
@@ -99,30 +98,40 @@ def spec_from_data(data) -> tuple[GroupSpec, dict]:
                     raise SpecFileError(f"generator {label!r} entry ({i},{j}): {exc}") from exc
             parsed_rows.append(tuple(parsed))
         matrices[label] = FieldMatrix(tuple(parsed_rows))
-    budgets = data.get("budgets", {})
-    _check(isinstance(budgets, dict), "budgets must be an object")
-    bad = set(budgets) - set(_BUDGET_KEYS)
-    _check(not bad, f"unknown budget fields: {sorted(bad)}")
-    _check(
-        all(isinstance(v, int) and v > 0 for v in budgets.values()),
-        "budget overrides must be positive integers",
-    )
+    budgets = check_budgets(data.get("budgets", {}), "budgets")
     try:
         spec = GroupSpec(char, tuple(variables), matrices)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(str(exc)) from exc
-    return spec, dict(budgets)
+    return spec, budgets
 
 
-def load_spec_file(path: str) -> tuple[GroupSpec, dict, str]:
+def check_budgets(overrides, source: str) -> dict:
+    """The one rule for every budget source (spec file, environment, flags):
+    a JSON object of known keys whose values are positive ints, not bools."""
+    _check(isinstance(overrides, dict), f"{source} must be a JSON object")
+    unknown = set(overrides) - set(BUDGET_KEYS)
+    _check(not unknown, f"unknown budget fields in {source}: {sorted(unknown)}")
+    for key, value in overrides.items():
+        _check(
+            type(value) is int and value > 0,
+            f"{key} in {source} must be a positive integer, got {value!r}",
+        )
+    return dict(overrides)
+
+
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
-    spec, budgets = spec_from_data(data)
+
+
+def load_spec_file(path: str) -> tuple[GroupSpec, dict, str]:
+    spec, budgets = spec_from_data(_read_json(path))
     return spec, budgets, spec_fingerprint(spec)
 
 
@@ -220,14 +229,7 @@ def write_witness_file(path: str, record: WitnessRecord, spec_fp: str):
 
 
 def load_witness_file(path: str) -> tuple[WitnessRecord, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
-    return witness_from_data(data)
+    return witness_from_data(_read_json(path))
 
 
 def profile_to_csv(profile: FarbProfile) -> str:

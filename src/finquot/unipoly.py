@@ -9,7 +9,6 @@ order, which fixes the "first irreducible" used by witness construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .algebra import factorize, is_prime, mobius
@@ -90,12 +89,6 @@ class UniPoly:
     def scale(self, c: int) -> "UniPoly":
         return UniPoly(self.char, tuple(c * a for a in self.coeffs))
 
-    def shift_up(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return UniPoly(self.char, (0,) * k + self.coeffs)
-
     def eval_int(self, x: int) -> int:
         """Evaluate at an integer by Horner's rule (exact; reduces mod p in char p)."""
         acc = 0
@@ -105,13 +98,6 @@ class UniPoly:
 
     def max_abs_coeff(self) -> int:
         return max((abs(c) for c in self.coeffs), default=0)
-
-    def content(self) -> int:
-        """gcd of the coefficients (char 0), signed by the leading coefficient."""
-        if not self.coeffs:
-            return 0
-        g = math.gcd(*self.coeffs)
-        return -g if self.coeffs[-1] < 0 else g
 
     # Field-coefficient operations; all require char p.
 

@@ -71,6 +71,10 @@ class FieldHom:
                 cells.append(value)
         return tuple(cells)
 
+    def generator_images(self, spec: GroupSpec) -> dict[str, tuple[int, ...]]:
+        """apply_matrix of every generator and inverse, keyed by label."""
+        return {label: self.apply_matrix(mat) for label, mat in spec.generators.items()}
+
     def describe(self) -> str:
         field = self.field
         ims = ", ".join(field.render(v) for v in self.images)
@@ -183,8 +187,8 @@ def separate(
     """A finite quotient of the group in which the given word survives.
 
     Raises IdentityWordError when the word is trivial (checked exactly).
-    With order_budget set, the exact order of the image group is computed
-    by closure (or the GL bound is reported as non-exact past the budget).
+    With order_budget set, the record carries image_order's result: the
+    exact order of the image group, or the GL bound as non-exact past it.
     """
     if gamma is None:
         gamma = word_evaluate(spec, word)
@@ -202,18 +206,14 @@ def separate(
     hom = polynomial_witness(target, spec.excluded_primes)
 
     field = hom.field
-    ims = {label: hom.apply_matrix(mat) for label, mat in spec.generators.items()}
+    ims = hom.generator_images(spec)
     verified = word_image(word.letters, ims, field, spec.size) != field.identity(spec.size)
     if not verified:
         raise FinquotError("witness homomorphism failed to move the word off the identity")
 
     order = exact = None
     if order_budget is not None:
-        order, exact = closure_order(
-            [ims[l] for l in sorted(ims) if not l.endswith("^-1")], field, spec.size, order_budget
-        )
-        if not exact:
-            order = hom.field_size ** (spec.size**2)
+        order, exact = image_order(spec, hom, order_budget)
     return WitnessRecord(
         word=word,
         word_length=word.length,
@@ -244,14 +244,9 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         return False, "image-arity-mismatch"
     if hom.apply(spec.phi) == 0:
         return False, "denominator-killed"
-    for mat in spec.generators.values():
-        for row in mat.rows:
-            for cell in row:
-                if hom.apply(cell.den) == 0:
-                    return False, "denominator-killed"
     field = hom.field
     try:
-        ims = {label: hom.apply_matrix(mat) for label, mat in spec.generators.items()}
+        ims = hom.generator_images(spec)
     except ZeroDivisionError:
         return False, "denominator-killed"
     for mat in ims.values():
@@ -280,8 +275,8 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
 
 def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> tuple[int, bool]:
     """Exact order of the image group by closure, or (gl_bound, False) past budget."""
-    base = [mat for label, mat in sorted(spec.generators.items()) if not label.endswith("^-1")]
-    order, exact = closure_order([hom.apply_matrix(mat) for mat in base], hom.field, spec.size, budget)
+    ims = hom.generator_images(spec)
+    order, exact = closure_order([ims[l] for l in spec.base_labels], hom.field, spec.size, budget)
     if not exact:
         return hom.field_size ** (spec.size**2), False
     return order, True

@@ -300,3 +300,82 @@ def test_verify_accepts_non_canonical_images(tmp_path, capsys, spec, word, image
     assert data["hom"]["images"] in ([2], [[0, 1]])
     data["hom"]["images"] = images
     assert _verify_data(tmp_path, capsys, spec, data) == (0, "ok\n", "")
+
+
+def _refused(code, out, err):
+    assert code == 1 and out == ""
+    return json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "env,needle",
+    [
+        ('{"max_prime":"x"}', "max_prime in FINQUOT_BUDGETS must be a positive integer"),
+        ('{"max_prime":true}', "max_prime in FINQUOT_BUDGETS must be a positive integer"),
+        ('{"ball_budget":0}', "ball_budget in FINQUOT_BUDGETS must be a positive integer"),
+        ('{"bogus":3}', "unknown budget fields in FINQUOT_BUDGETS: ['bogus']"),
+        ("[3]", "FINQUOT_BUDGETS must be a JSON object"),
+    ],
+)
+def test_budget_env_values_are_checked(capsys, monkeypatch, env, needle):
+    monkeypatch.setenv("FINQUOT_BUDGETS", env)
+    record = _refused(*run(capsys, "profile", "cyclic", "--radius", "2"))
+    assert record["error"] == "SpecFileError"
+    assert needle in record["message"]
+    record = _refused(*run(capsys, "witness", "cyclic", "--word", "a"))
+    assert needle in record["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("profile", "cyclic", "--radius", "2", "--max-prime", "-3"),
+        ("profile", "cyclic", "--radius", "2", "--ball-budget", "0"),
+        ("witness", "cyclic", "--word", "a", "--order-budget", "0"),
+    ],
+)
+def test_budget_flags_are_checked(capsys, argv):
+    record = _refused(*run(capsys, *argv))
+    assert record["error"] == "SpecFileError"
+    assert "in command-line flags must be a positive integer" in record["message"]
+
+
+def test_spec_file_budget_bool_is_refused(tmp_path, capsys):
+    spec = {
+        "characteristic": 0,
+        "variables": [],
+        "generators": {"a": [["1", "1"], ["0", "1"]]},
+        "budgets": {"max_prime": True},
+    }
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(spec))
+    record = _refused(*run(capsys, "profile", str(path), "--radius", "2"))
+    assert record["message"] == "max_prime in budgets must be a positive integer, got True"
+
+
+def test_ball_budget_sources_in_order(tmp_path, capsys, monkeypatch):
+    # cyclic has 2n elements at radius n: a budget of 5 fails at radius 3
+    spec = {
+        "characteristic": 0,
+        "variables": [],
+        "generators": {"a": [["1", "1"], ["0", "1"]]},
+        "budgets": {"ball_budget": 5},
+    }
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(spec))
+    assert run(capsys, "profile", str(path), "--radius", "3")[0] == 1
+    monkeypatch.setenv("FINQUOT_BUDGETS", '{"ball_budget":6}')
+    assert run(capsys, "profile", str(path), "--radius", "3")[0] == 0
+    assert run(capsys, "profile", str(path), "--radius", "3", "--ball-budget", "5")[0] == 1
+
+
+def test_verify_unreadable_witness_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    record = _refused(*run(capsys, "verify", "sanov", str(missing)))
+    assert record["error"] == "SpecFileError"
+    assert record["message"].startswith(f"cannot read {missing}: ")
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    record = _refused(*run(capsys, "verify", "sanov", str(garbled)))
+    assert record["error"] == "SpecFileError"
+    assert record["message"].startswith(f"{garbled} is not valid JSON: ")

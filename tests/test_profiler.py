@@ -9,6 +9,7 @@ from finquot.errors import BudgetExceeded, NotFoundWithinBudget
 from finquot.groups import ball_enumerate
 from finquot.profiler import (
     ReductionBudget,
+    ReductionScanner,
     build_growth_table,
     d_reduction,
     divisor_sum,
@@ -21,7 +22,9 @@ from finquot.profiler import (
     word_growth,
 )
 from finquot.profiler import _golden_roots_within
+from finquot.serialize import spec_from_data
 from finquot.unipoly import UniPoly, enumerate_irreducibles
+from finquot.witness import FieldHom, image_order
 
 
 def test_farb_z_examples():
@@ -275,3 +278,25 @@ def test_scanner_cache_drops_collected_specs():
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(profiler._SCANNERS) == before
+
+
+def test_scanner_orders_when_homs_share_generator_images():
+    # t -> c and t -> -c give the same images, so 41 homs share 24 closures
+    spec, _ = spec_from_data({
+        "characteristic": 0,
+        "variables": ["t"],
+        "generators": {"a": [["1", "t^2"], ["0", "1"]], "b": [["1", "0"], ["t^2", "1"]]},
+    })
+    budget = ReductionBudget(max_prime=13)
+    scanner = ReductionScanner(spec, budget)
+    assert len(scanner.homs) == 41
+    shared = {(h.field.q, tuple(h.images[l] for l in spec.base_labels)) for h in scanner.homs}
+    assert len(shared) == 24
+    expected = {}
+    for p in (2, 3, 5, 7, 11, 13):
+        for t in range(p):
+            order, exact = image_order(spec, FieldHom(p, None, (t,), ()), budget.order_budget)
+            expected[f"p={p},t={(t,)}"] = order if exact else None
+    assert {h.label: h.order for h in scanner.homs} == expected
+    for text, order in (("a", 6), ("a b", 6), ("a^4 b^-2", 24)):
+        assert scanner.min_order(spec.word(text)) == (order, True)

@@ -87,6 +87,9 @@ def test_spec_from_data_validates():
     singular["generators"]["a"] = [["1", "1"], ["1", "1"]]
     with pytest.raises(SpecFileError):
         spec_from_data(singular)
+    for budgets in ({"max_prime": True}, {"order_budget": 0}, {"max_degree": "3"}, {"bogus": 3}, [3]):
+        with pytest.raises(SpecFileError):
+            spec_from_data({**SANOV_DATA, "budgets": budgets})
 
 
 def test_spec_file_budgets(tmp_path):
@@ -188,3 +191,13 @@ def test_threshold_samples_from_csv(cyclic):
     assert threshold_samples_from_csv(profile_text) == [(1, 2), (2, 3), (3, 3)]
     with pytest.raises(SpecFileError):
         threshold_samples_from_csv("16\n")
+
+
+def test_builtin_fingerprints_pinned():
+    prefixes = {
+        "sanov": "2738911951f0d134",
+        "sanov_f3": "f7e4a86000f648ef",
+        "cyclic": "c1886082e29ccc89",
+        "diagonal": "fa79780fcf54f978",
+    }
+    assert {name: resolve_spec(name)[2][:16] for name in prefixes} == prefixes
