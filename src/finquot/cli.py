@@ -47,12 +47,11 @@ def _env_budgets() -> dict:
     return check_budgets(data, BUDGET_ENV)
 
 
-def _budgets(file_budgets: dict, args) -> tuple[ReductionBudget, int | None]:
-    """The reduction budget and the ball budget.  Later sources win: defaults,
-    the spec file's budgets (checked on load), FINQUOT_BUDGETS, then flags."""
+def _budgets(file_budgets: dict, args) -> ReductionBudget:
+    """Later sources win: defaults, the spec file's budgets (checked on load),
+    FINQUOT_BUDGETS, then flags."""
     flags = {key: getattr(args, key) for key in BUDGET_KEYS if getattr(args, key, None) is not None}
-    merged = {**file_budgets, **_env_budgets(), **check_budgets(flags, "command-line flags")}
-    return merge_budget(merged), merged.get("ball_budget")
+    return merge_budget(file_budgets, _env_budgets(), check_budgets(flags, "command-line flags"))
 
 
 def _error_record(exc: BaseException) -> str:
@@ -72,7 +71,7 @@ def _emit(text: str, out_path: str | None):
 
 def _cmd_witness(args) -> int:
     spec, file_budgets, fp = resolve_spec(args.spec)
-    budget, _ = _budgets(file_budgets, args)
+    budget = _budgets(file_budgets, args)
     word = spec.word(args.word)
     record = separate(spec, word, order_budget=budget.order_budget)
     _emit(canonical_json(witness_to_data(record, fp)) + "\n", args.out)
@@ -92,8 +91,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_profile(args) -> int:
     spec, file_budgets, _ = resolve_spec(args.spec)
-    budget, ball_budget = _budgets(file_budgets, args)
-    profile = farb_profile(spec, args.radius, budget, ball_budget=ball_budget)
+    profile = farb_profile(spec, args.radius, _budgets(file_budgets, args))
     _emit(profile_to_csv(profile), args.out)
     return 0
 
@@ -220,10 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="CSV divisibility profile over the ball")
     p.add_argument("spec")
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--max-prime", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--order-budget", type=int, default=None)
-    p.add_argument("--ball-budget", type=int, default=None)
+    for key in BUDGET_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_profile)
 
@@ -260,10 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FinquotError as exc:
-        sys.stderr.write(_error_record(exc) + "\n")
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (FinquotError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(_error_record(exc) + "\n")
         return 1
 

@@ -85,9 +85,7 @@ def compute_phi(matrices, char: int, nvars: int) -> tuple[MultiPoly, frozenset[i
                 g = mp_gcd(phi, den)
                 phi = mp_divexact(phi * den, g)
     if char == 0:
-        content = 0
-        for e in phi.terms.values():
-            content = math.gcd(content, e)
+        content = math.gcd(*phi.terms.values())
         excluded = frozenset(factorize(content)) if content > 1 else frozenset()
     else:
         excluded = frozenset()

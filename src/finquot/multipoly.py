@@ -338,10 +338,7 @@ def _lift_last(f: MultiPoly, nvars: int) -> MultiPoly:
 
 
 def _content_int(f: MultiPoly) -> int:
-    g = 0
-    for c in f.terms.values():
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*f.terms.values())
 
 
 def _pseudo_rem(a: list[MultiPoly], b: list[MultiPoly]) -> list[MultiPoly]:

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from weakref import WeakKeyDictionary
 
 from .algebra import factorize, next_prime, primes
 from .errors import BudgetExceeded, FinquotError, NotFoundWithinBudget
 from .fields import Field, finite_field
-from .groups import GroupSpec, Word, ball_enumerate, word_evaluate
+from .groups import BALL_BUDGET, GroupSpec, Word, ball_enumerate, word_evaluate
 from .multipoly import MultiPoly
 from .unipoly import UniPoly, enumerate_irreducibles
-from .witness import FieldHom, image_order, separate, word_image
+from .witness import ORDER_BUDGET, FieldHom, image_order, separate, word_image
 
 
 def farb_z(n: int) -> int:
@@ -42,18 +42,32 @@ def farb_z(n: int) -> int:
         m, acc = m + 1, nxt
 
 
+def is_budget_value(value) -> bool:
+    """The one value rule for every budget: a positive int, not a bool."""
+    return type(value) is int and value > 0
+
+
 @dataclass(frozen=True)
 class ReductionBudget:
-    """Search limits for the reduction oracle.
+    """Search limits for the reduction oracle and the profiler.
 
     max_prime bounds target primes in characteristic 0; max_degree bounds
     extension degrees over the base prime in characteristic p; order_budget
-    caps the closure size for exact image orders.
+    caps the closure size for exact image orders; ball_budget caps the
+    number of ball elements a profile enumerates.  The fields are the only
+    list of budget names; every value must satisfy is_budget_value.
     """
 
     max_prime: int = 31
     max_degree: int = 3
-    order_budget: int = 200_000
+    order_budget: int = ORDER_BUDGET
+    ball_budget: int = BALL_BUDGET
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not is_budget_value(value):
+                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -308,27 +322,19 @@ class FarbProfile:
         return self.rows[radius - 1]
 
 
-def farb_profile(
-    spec: GroupSpec,
-    n: int,
-    budget: ReductionBudget = ReductionBudget(),
-    ball_budget: int | None = None,
-) -> FarbProfile:
+def farb_profile(spec: GroupSpec, n: int, budget: ReductionBudget = ReductionBudget()) -> FarbProfile:
     """Per-radius maxima of the witness bound, image order and reduction
     minimum over the punctured ball, cumulative in the radius.
 
     Elements whose reduction minimum falls outside the budget are counted in
     budget_misses and clear the exhaustive flag; the witness bound is still
-    recorded for them.
+    recorded for them.  A ball past budget.ball_budget raises BudgetExceeded.
     """
     scanner = reduction_scanner(spec, budget)
     max_glb = max_io = max_dr = misses = 0
     exhaustive = True
     by_radius: dict[int, list] = {}
-    elements = (
-        ball_enumerate(spec, n) if ball_budget is None else ball_enumerate(spec, n, ball_budget)
-    )
-    for el in elements:
+    for el in ball_enumerate(spec, n, budget.ball_budget):
         by_radius.setdefault(el.word.length, []).append(el)
     rows = []
     count = 0

@@ -90,9 +90,6 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero")
         return RatFunc(self.den, self.num)
 
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        return self * other.inverse()
-
     def cross_equal(self, other: "RatFunc") -> bool:
         """Equality by cross multiplication, independent of reduction."""
         return (self.num * other.den) == (other.num * self.den)

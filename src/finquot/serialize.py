@@ -7,6 +7,7 @@ platforms, and fingerprints are stable under reformatting of input files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,14 +17,14 @@ from .errors import EntryParseError, SpecFileError
 from .fields import finite_field
 from .groups import NAMED_GROUPS, GroupSpec, Word
 from .parsing import parse_entry
-from .profiler import FarbProfile, ReductionBudget
+from .profiler import FarbProfile, ReductionBudget, is_budget_value
 from .ratfunc import FieldMatrix
 from .unipoly import UniPoly
 from .witness import FieldHom, WitnessRecord
 
 PROFILE_HEADER = "n,ball_size,max_gl_bound,max_image_order,max_d_reduction,exhaustive_flag"
 
-BUDGET_KEYS = ("max_prime", "max_degree", "order_budget", "ball_budget")
+BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(ReductionBudget))
 
 
 def canonical_json(data) -> str:
@@ -113,10 +114,7 @@ def check_budgets(overrides, source: str) -> dict:
     unknown = set(overrides) - set(BUDGET_KEYS)
     _check(not unknown, f"unknown budget fields in {source}: {sorted(unknown)}")
     for key, value in overrides.items():
-        _check(
-            type(value) is int and value > 0,
-            f"{key} in {source} must be a positive integer, got {value!r}",
-        )
+        _check(is_budget_value(value), f"{key} in {source} must be a positive integer, got {value!r}")
     return dict(overrides)
 
 
@@ -148,12 +146,10 @@ def resolve_spec(name_or_path: str) -> tuple[GroupSpec, dict, str]:
 
 
 def merge_budget(*overrides: dict) -> ReductionBudget:
-    """Later sources win: defaults, then each override dict in turn."""
-    merged = {}
-    for source in overrides:
-        for key, value in source.items():
-            if key in ("max_prime", "max_degree", "order_budget") and value is not None:
-                merged[key] = value
+    """Later sources win: defaults, then each override dict in turn.  A value
+    of None leaves the key unset; ReductionBudget refuses unknown keys and
+    bad values."""
+    merged = {key: value for source in overrides for key, value in source.items() if value is not None}
     return ReductionBudget(**merged)
 
 
@@ -251,8 +247,11 @@ def threshold_samples_from_csv(text: str) -> list[tuple[int, int]]:
     header = lines[0]
     if header == PROFILE_HEADER:
         out = []
+        columns = header.count(",") + 1
         for line in lines[1:]:
             parts = line.split(",")
+            if len(parts) != columns:
+                raise SpecFileError(f"need {columns} columns per profile row, got {line!r}")
             out.append((int(parts[0]), int(parts[4])))
         return out
     start = 0

@@ -21,7 +21,7 @@ from .multipoly import MultiPoly, substitution_exponents
 from .ratfunc import FieldMatrix
 from .unipoly import UniPoly, enumerate_irreducibles
 
-ORDER_BUDGET = 1 << 17
+ORDER_BUDGET = 200_000
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,14 @@ def test_threshold_accepts_profile_csv(tmp_path, capsys):
     assert "no samples" in err
 
 
+def test_threshold_refuses_short_profile_row(tmp_path, capsys):
+    path = tmp_path / "profile.csv"
+    path.write_text(PROFILE_HEADER + "\n16,5\n")
+    record = _refused(*run(capsys, "threshold", str(path)))
+    assert record["error"] == "SpecFileError"
+    assert record["message"] == "need 6 columns per profile row, got '16,5'"
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "11")
     assert code == 0

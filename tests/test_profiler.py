@@ -300,3 +300,10 @@ def test_scanner_orders_when_homs_share_generator_images():
     assert {h.label: h.order for h in scanner.homs} == expected
     for text, order in (("a", 6), ("a b", 6), ("a^4 b^-2", 24)):
         assert scanner.min_order(spec.word(text)) == (order, True)
+
+
+@pytest.mark.parametrize("key", ["max_prime", "max_degree", "order_budget", "ball_budget"])
+@pytest.mark.parametrize("value", [True, 0, -1, "x"])
+def test_reduction_budget_refuses_bad_values(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a positive integer, got "):
+        ReductionBudget(**{key: value})

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from finquot.errors import SpecFileError
-from finquot.groups import sanov_group
+from finquot.errors import BudgetExceeded, SpecFileError
+from finquot.groups import cyclic_group, sanov_group
 from finquot.profiler import farb_profile
 from finquot.serialize import (
     PROFILE_HEADER,
@@ -129,6 +129,20 @@ def test_merge_budget_precedence():
     later = merge_budget({"max_prime": 7}, {"max_prime": 13})
     assert later.max_prime == 13
     assert merge_budget({}).max_prime == 31
+
+
+def test_merge_budget_ball_budget_reaches_the_profile():
+    # cyclic has 6 nontrivial elements within radius 3
+    with pytest.raises(BudgetExceeded):
+        farb_profile(cyclic_group(), 3, merge_budget({"ball_budget": 2}))
+    assert farb_profile(cyclic_group(), 3, merge_budget({"ball_budget": 6})).row(3).ball_size == 6
+
+
+def test_merge_budget_refuses_unknown_keys_and_bad_values():
+    with pytest.raises(TypeError):
+        merge_budget({"bogus": 1})
+    with pytest.raises(ValueError):
+        merge_budget({"max_prime": 7}, {"max_prime": "x"})
 
 
 def test_witness_round_trip(tmp_path, sanov):

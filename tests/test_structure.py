@@ -1,13 +1,16 @@
 """Conventions that live in one place: only groups.py knows the inverse-label
-suffix, only image_order runs a closure, and only FieldHom.generator_images
-maps a spec's generators through a hom."""
+suffix, only image_order runs a closure, only FieldHom.generator_images
+maps a spec's generators through a hom, and only ReductionBudget's fields
+name the budgets."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import finquot
+from finquot.profiler import ReductionBudget
 
 # callee name -> the one function allowed to call it
 _SOLE_CALLERS = {"closure_order": "image_order", "apply_matrix": "generator_images"}
@@ -56,3 +59,16 @@ def test_closure_and_generator_images_have_one_caller():
             if callee in callers:
                 callers[callee].add(func if func == _SOLE_CALLERS[callee] else f"{name}:{line} {func}")
     assert callers == {callee: {func} for callee, func in _SOLE_CALLERS.items()}
+
+
+def test_budget_names_only_as_reduction_budget_fields():
+    # a string literal equal to a budget name is a hand-written key list
+    names = {f.name for f in dataclasses.fields(ReductionBudget)}
+    assert names
+    found = [
+        f"{name}:{node.lineno} {node.value}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert found == []

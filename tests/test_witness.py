@@ -8,6 +8,7 @@ import pytest
 from finquot.errors import IdentityWordError
 from finquot.groups import GroupSpec
 from finquot.multipoly import MultiPoly
+from finquot.profiler import ReductionBudget
 from finquot.ratfunc import FieldMatrix, RatFunc
 from finquot.unipoly import UniPoly, gauss_irreducible_count
 from finquot.witness import (
@@ -233,6 +234,12 @@ def test_image_order_budget(sanov):
     capped, flag = image_order(sanov, hom, budget=10)
     assert not flag
     assert capped == 7**4
+
+
+def test_image_order_default_is_the_reduction_budget(sanov):
+    # |SL(2, F_53)| = 148,824 fits the one default order budget
+    assert ReductionBudget().order_budget >= 148_824
+    assert image_order(sanov, FieldHom(53, None, (1,), ())) == (148_824, True)
 
 
 def test_chain_prime_bound():
