@@ -20,7 +20,6 @@ from .multipoly import MultiPoly, substitution_exponents
 from .profiler import ReductionBudget, farb_profile, farb_z, inequality_audit, threshold_check
 from .serialize import (
     BUDGET_KEYS,
-    PROFILE_HEADER,
     canonical_json,
     check_budgets,
     load_witness_file,
@@ -128,10 +127,6 @@ def _cmd_threshold(args) -> int:
     except OSError as exc:
         raise FinquotError(f"cannot read {args.csv}: {exc}") from exc
     samples = threshold_samples_from_csv(text)
-    if text.splitlines()[0].strip() == PROFILE_HEADER:
-        # profile CSVs start at radius 1; apply the same n >= 16 cutoff
-        # threshold_check uses for FarbProfile input
-        samples = [(n, value) for n, value in samples if n >= 16]
     try:
         report = threshold_check(samples)
     except ValueError as exc:

@@ -154,14 +154,18 @@ def word_evaluate(spec: GroupSpec, word: Word) -> FieldMatrix:
 def scaled_difference(spec: GroupSpec, word: Word, gamma: FieldMatrix | None = None):
     """phi^len(w) * (w - I) as a matrix of polynomials (tuple of tuples).
 
-    That every entry clears to a polynomial is the load-bearing fact here;
-    as_poly raises if it ever failed.
+    Entry (i, j) is phi^len(w) * (num - [i = j] * den) divided exactly by
+    den, for gamma's canonical fraction num/den.  That every entry clears
+    to a polynomial is the load-bearing fact here; mp_divexact raises
+    ValueError if it ever failed.
     """
     if gamma is None:
         gamma = word_evaluate(spec, word)
-    scale = RatFunc.of_poly(spec.phi ** word.length)
-    diff = gamma - spec.identity()
-    return tuple(tuple((scale * entry).as_poly() for entry in row) for row in diff.rows)
+    scale = spec.phi ** word.length
+    return tuple(
+        tuple(mp_divexact(scale * (e.num - e.den if i == j else e.num), e.den) for j, e in enumerate(row))
+        for i, row in enumerate(gamma.rows)
+    )
 
 
 def growth_degree_bounds(spec: GroupSpec, word: Word, gamma: FieldMatrix | None = None) -> tuple[int, int]:

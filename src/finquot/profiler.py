@@ -97,41 +97,22 @@ class ReductionScanner:
         self.size = spec.size
         self.budget = budget
         self.floor = _quotient_floor(spec, budget)
-        homs = list(self._char0_homs(spec) if spec.char == 0 else self._charp_homs(spec))
-        homs.sort(key=lambda h: (h.order if h.order is not None else math.inf, h.label))
-        self.homs = homs
+        fields = _scan_fields(spec, budget)
+        self.field_sizes = frozenset(field.q for field in fields)
+        homs = self._scan_homs(spec, fields)
+        self.homs = sorted(homs, key=lambda h: (h.order if h.order is not None else math.inf, h.label))
 
-    def _make_hom(self, spec: GroupSpec, label: str, hom: FieldHom) -> _ScanHom | None:
-        if hom.apply(spec.phi) == 0:
-            return None
-        order, exact = image_order(spec, hom, self.budget.order_budget)
-        return _ScanHom(
-            label=label, field=hom.field, order=order if exact else None, images=hom.generator_images(spec)
-        )
-
-    def _char0_homs(self, spec: GroupSpec):
-        for p in primes():
-            if p > self.budget.max_prime:
-                break
-            if p in spec.excluded_primes:
-                continue
-            for tup in itertools.product(range(p), repeat=spec.nvars):
-                scan = self._make_hom(spec, f"p={p},t={tup}", FieldHom(p, None, tup, ()))
-                if scan is not None:
-                    yield scan
-
-    def _charp_homs(self, spec: GroupSpec):
+    def _scan_homs(self, spec: GroupSpec, fields: list[Field]):
         """One hom per kernel: images up to simultaneous Frobenius conjugacy.
 
         Two variable assignments with the same minimal polynomial data induce
         the same kernel on the coordinate ring, hence isomorphic images, so a
-        single orbit representative per extension degree suffices.
+        single orbit representative per field suffices.  An orbit shorter
+        than the field's degree lands in a proper subfield, counted there.
         """
-        p = spec.char
-        for j in range(1, self.budget.max_degree + 1):
-            modulus = next(iter(enumerate_irreducibles(p, j)))
-            field = finite_field(p, modulus)
-            q = field.q
+        for field in fields:
+            p, q = field.p, field.q
+            key, degree = ("p", 1) if field.modulus is None else ("q", field.modulus.degree)
             frob = [field.pow(v, p) for v in range(q)]
             seen = set()
             for tup in itertools.product(range(q), repeat=spec.nvars):
@@ -143,13 +124,12 @@ class ReductionScanner:
                     orbit.add(cur)
                     cur = tuple(frob[v] for v in cur)
                 seen.update(orbit)
-                if spec.nvars and len(orbit) != j:
-                    continue  # lands in a proper subfield; counted at smaller degree
-                if not spec.nvars and j > 1:
+                hom = FieldHom(p, field.modulus, tup, ())
+                if len(orbit) != degree or hom.apply(spec.phi) == 0:
                     continue
-                scan = self._make_hom(spec, f"q={q},t={tup}", FieldHom(p, modulus, tup, ()))
-                if scan is not None:
-                    yield scan
+                order, exact = image_order(spec, hom, self.budget.order_budget)
+                images = hom.generator_images(spec)
+                yield _ScanHom(f"{key}={q},t={tup}", field, order if exact else None, images)
 
     def min_order(self, word: Word) -> tuple[int, bool]:
         """Smallest in-budget image order under which the word survives.
@@ -171,6 +151,26 @@ class ReductionScanner:
         raise NotFoundWithinBudget(
             f"no reduction within budget separates {word.render()!r}"
         )
+
+
+def _scan_fields(spec: GroupSpec, budget: ReductionBudget) -> list[Field]:
+    """The target fields of the reduction scan.
+
+    Characteristic 0: F_p for every prime p <= max_prime that phi does not
+    invert.  Characteristic p: F_p[x]/(h) for the first monic irreducible h
+    of each degree up to max_degree.
+    """
+    if spec.char == 0:
+        return [
+            finite_field(p, None)
+            for p in itertools.takewhile(lambda p: p <= budget.max_prime, primes())
+            if p not in spec.excluded_primes
+        ]
+    p = spec.char
+    return [
+        finite_field(p, next(iter(enumerate_irreducibles(p, j))))
+        for j in range(1, budget.max_degree + 1)
+    ]
 
 
 def _quotient_floor(spec: GroupSpec, budget: ReductionBudget) -> int:
@@ -271,16 +271,20 @@ def _golden_roots_within(p: int, max_degree: int) -> bool:
 
 
 def _is_constant_unipotent(mat) -> bool:
+    """Whether a characteristic-0 matrix has constant entries and (mat - I)^m = 0."""
     m = mat.size
     for row in mat.rows:
         for cell in row:
             if not (cell.is_poly() and cell.num.is_const()):
                 return False
-    diff = mat - mat.identity(mat.char, mat.nvars, m)
+    diff = [
+        [cell.num.const_value() - (i == j) for j, cell in enumerate(row)]
+        for i, row in enumerate(mat.rows)
+    ]
     power = diff
     for _ in range(m - 1):
-        power = power * diff
-    return all(cell.is_zero() for row in power.rows for cell in row)
+        power = [[sum(power[i][k] * diff[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    return not any(any(row) for row in power)
 
 
 _SCANNERS: "WeakKeyDictionary[GroupSpec, dict]" = WeakKeyDictionary()
@@ -350,7 +354,7 @@ def farb_profile(spec: GroupSpec, n: int, budget: ReductionBudget = ReductionBud
                 misses += 1
                 exhaustive = False
                 continue
-            if rec.image_order_exact and _hom_within(rec.hom, budget):
+            if rec.image_order_exact and rec.field_size in scanner.field_sizes:
                 if not dmin <= rec.image_order <= rec.gl_bound:
                     raise FinquotError(
                         f"reduction sandwich violated for {el.word.render()!r}:"
@@ -371,12 +375,6 @@ def farb_profile(spec: GroupSpec, n: int, budget: ReductionBudget = ReductionBud
             )
         )
     return FarbProfile(rows=tuple(rows))
-
-
-def _hom_within(hom: FieldHom, budget: ReductionBudget) -> bool:
-    if hom.modulus is None:
-        return hom.char <= budget.max_prime
-    return hom.modulus.degree <= budget.max_degree
 
 
 def word_growth(spec: GroupSpec, n: int) -> list[int]:
@@ -476,18 +474,25 @@ class ThresholdReport:
     min_ratio_at: int
 
 
+class ProfileSamples(list):
+    """(radius, reduction minimum) pairs read from a profile, which starts at
+    radius 1; threshold_check skips the radii below its cutoff."""
+
+
 def threshold_check(samples) -> ThresholdReport:
     """(log F(n))^2 / log log n over the samples; all n must be >= 16.
 
-    Accepts (n, F(n)) pairs or a FarbProfile, whose reduction minima stand
-    in for F; profile rows below the n >= 16 cutoff are skipped.  Reports
-    only; callers decide what ratio is acceptable.
+    Accepts (n, F(n)) pairs, a FarbProfile or ProfileSamples; a profile's
+    reduction minima stand in for F, and its rows below the n >= 16 cutoff
+    are skipped.  Reports only; callers decide what ratio is acceptable.
     """
     if isinstance(samples, FarbProfile):
-        samples = [(row.radius, row.max_d_reduction) for row in samples.rows if row.radius >= 16]
+        samples = ProfileSamples((row.radius, row.max_d_reduction) for row in samples.rows)
     rows = []
     for n, value in samples:
         if n < 16:
+            if isinstance(samples, ProfileSamples):
+                continue
             raise ValueError("threshold samples need n >= 16")
         ratio = math.log(value) ** 2 / math.log(math.log(n))
         rows.append(ThresholdRow(n=n, value=value, ratio=ratio))

@@ -63,12 +63,6 @@ class RatFunc:
     def is_poly(self) -> bool:
         return self.den.is_const() and self.den.const_value() == 1
 
-    def as_poly(self) -> MultiPoly:
-        """The underlying polynomial; raises when the fraction is not one."""
-        if self.is_poly():
-            return self.num
-        return mp_divexact(self.num, self.den)
-
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
@@ -131,9 +125,6 @@ class FieldMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, ij: tuple[int, int]) -> RatFunc:
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldMatrix) and self.rows == other.rows
 
@@ -154,16 +145,6 @@ class FieldMatrix:
                 row.append(acc)
             out.append(tuple(row))
         return FieldMatrix(tuple(out))
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        if other.size != self.size:
-            raise ValueError("size mismatch")
-        return FieldMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
 
     def is_identity(self) -> bool:
         for i, row in enumerate(self.rows):

@@ -17,7 +17,7 @@ from .errors import EntryParseError, SpecFileError
 from .fields import finite_field
 from .groups import NAMED_GROUPS, GroupSpec, Word
 from .parsing import parse_entry
-from .profiler import FarbProfile, ReductionBudget, is_budget_value
+from .profiler import FarbProfile, ProfileSamples, ReductionBudget, is_budget_value
 from .ratfunc import FieldMatrix
 from .unipoly import UniPoly
 from .witness import FieldHom, WitnessRecord
@@ -240,13 +240,16 @@ def profile_to_csv(profile: FarbProfile) -> str:
 
 
 def threshold_samples_from_csv(text: str) -> list[tuple[int, int]]:
-    """(n, F) pairs from either a profile CSV or a two-column n,value CSV."""
+    """(n, F) pairs from either a profile CSV or a two-column n,value CSV.
+
+    A profile CSV, told apart by its header, yields ProfileSamples.
+    """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise SpecFileError("empty CSV")
     header = lines[0]
     if header == PROFILE_HEADER:
-        out = []
+        out = ProfileSamples()
         columns = header.count(",") + 1
         for line in lines[1:]:
             parts = line.split(",")

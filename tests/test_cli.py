@@ -189,6 +189,17 @@ def test_threshold_accepts_profile_csv(tmp_path, capsys):
     assert "no samples" in err
 
 
+def test_threshold_profile_csv_after_blank_line(tmp_path, capsys):
+    # the header is found after blank lines, so the cutoff still applies
+    path = tmp_path / "profile.csv"
+    code, _, _ = run(capsys, "profile", "cyclic", "--radius", "18", "--out", str(path))
+    assert code == 0
+    plain = run(capsys, "threshold", str(path))
+    assert plain[0] == 0
+    path.write_text("\n" + path.read_text())
+    assert run(capsys, "threshold", str(path)) == plain
+
+
 def test_threshold_refuses_short_profile_row(tmp_path, capsys):
     path = tmp_path / "profile.csv"
     path.write_text(PROFILE_HEADER + "\n16,5\n")

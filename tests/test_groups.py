@@ -6,6 +6,7 @@ import pytest
 
 from finquot.errors import BudgetExceeded
 from finquot.groups import (
+    NAMED_GROUPS,
     ball_enumerate,
     compute_phi,
     growth_degree_bounds,
@@ -14,6 +15,7 @@ from finquot.groups import (
 )
 from finquot.multipoly import MultiPoly
 from finquot.ratfunc import FieldMatrix, RatFunc
+from finquot.serialize import spec_from_data
 
 
 def test_word_parsing(sanov):
@@ -115,6 +117,76 @@ def test_scaled_difference_diagonal(diagonal):
         ["t^2 - t", "0"],
         ["0", "-t + 1"],
     ]
+
+
+def _scaled_difference_by_ratfunc(spec, word, gamma):
+    """phi^len(w) * (gamma - I) in RatFunc arithmetic, each entry reduced to
+    a fraction with denominator 1: the reference for scaled_difference."""
+    scale = RatFunc.of_poly(spec.phi**word.length)
+    one = RatFunc.const(spec.char, spec.nvars, 1)
+    out = []
+    for i, row in enumerate(gamma.rows):
+        cells = []
+        for j, entry in enumerate(row):
+            cell = scale * (entry - one if i == j else entry)
+            assert cell.den == MultiPoly.const(spec.char, spec.nvars, 1)
+            cells.append(cell.num)
+        out.append(tuple(cells))
+    return tuple(out)
+
+
+def _assert_routes_agree(spec, word, gamma=None):
+    if gamma is None:
+        gamma = word_evaluate(spec, word)
+    assert scaled_difference(spec, word, gamma) == _scaled_difference_by_ratfunc(spec, word, gamma)
+
+
+@pytest.mark.parametrize("name,radius", [(name, 4) for name in sorted(NAMED_GROUPS)] + [("diagonal", 6)])
+def test_scaled_difference_matches_ratfunc_route_over_ball(name, radius):
+    spec = NAMED_GROUPS[name]()
+    ball = ball_enumerate(spec, radius)
+    if name == "diagonal":
+        assert sum(1 for el in ball if el.word.letters[0] == "a^-1") == radius
+    for el in ball:
+        _assert_routes_agree(spec, el.word, el.matrix)
+
+
+@pytest.mark.parametrize("text", ["a^2520", "a^-2520"])
+def test_scaled_difference_matches_ratfunc_route_long_power(diagonal, text):
+    _assert_routes_agree(diagonal, diagonal.word(text))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {
+            "characteristic": 0,
+            "variables": ["t", "u"],
+            "generators": {"a": [["1", "1/(t+u)"], ["0", "1"]], "b": [["u", "1"], ["0", "t"]]},
+        },
+        {
+            "characteristic": 3,
+            "variables": ["t"],
+            "generators": {"a": [["1", "1/t"], ["0", "1"]], "b": [["1", "0"], ["t", "1"]]},
+        },
+    ],
+    ids=["Q(t,u)", "F3(t)"],
+)
+def test_scaled_difference_matches_ratfunc_route_with_denominators(data):
+    spec, _ = spec_from_data(data)
+    assert not spec.phi.is_const()
+    for el in ball_enumerate(spec, 3):
+        _assert_routes_agree(spec, el.word, el.matrix)
+
+
+def test_scaled_difference_refuses_uncleared_denominator(sanov):
+    # sanov has phi = 1, so an entry 1/t cannot clear
+    t = MultiPoly.variable(0, 1, 0)
+    one = MultiPoly.const(0, 1, 1)
+    P = RatFunc.of_poly
+    gamma = FieldMatrix(((P(one), RatFunc(one, t)), (P(t), P(one))))
+    with pytest.raises(ValueError):
+        scaled_difference(sanov, sanov.word("a"), gamma)
 
 
 def test_growth_degree_bounds(sanov):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from finquot.algebra import dz, is_prime
+from finquot.algebra import dz, is_prime, next_prime
 from finquot.errors import BudgetExceeded, NotFoundWithinBudget
 from finquot.groups import ball_enumerate
 from finquot.profiler import (
@@ -21,7 +21,7 @@ from finquot.profiler import (
     threshold_check,
     word_growth,
 )
-from finquot.profiler import _golden_roots_within
+from finquot.profiler import _golden_roots_within, _quotient_floor
 from finquot.serialize import spec_from_data
 from finquot.unipoly import UniPoly, enumerate_irreducibles
 from finquot.witness import FieldHom, image_order
@@ -126,6 +126,12 @@ def test_scanner_floors(sanov_scanner, sanov3_scanner, cyclic_scanner):
     assert sanov_scanner.floor == 37 * 38  # Sylow count at the next prime
     assert sanov3_scanner.floor == 720  # |SL(2, 9)|
     assert cyclic_scanner.floor == 37
+
+
+@pytest.mark.parametrize("rows,floor", [([["1", "3"], ["0", "1"]], next_prime(31)), ([["2", "1"], ["1", "1"]], 2)])
+def test_quotient_floor_single_constant_generator(rows, floor):
+    spec, _ = spec_from_data({"characteristic": 0, "variables": [], "generators": {"a": rows}})
+    assert _quotient_floor(spec, ReductionBudget()) == floor
 
 
 def test_golden_roots_within_matches_factor_degrees():
