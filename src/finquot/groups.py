@@ -44,6 +44,11 @@ class Word:
         return f"Word({self.render()!r})"
 
 
+def inverse_label(label: str) -> str:
+    """The label of the inverse letter: a <-> a^-1."""
+    return label.removesuffix(INVERSE_SUFFIX) if label.endswith(INVERSE_SUFFIX) else label + INVERSE_SUFFIX
+
+
 def parse_word(text: str, alphabet) -> Word:
     """Expand 'a b^-1 a^2' into letters; every base label must be known."""
     letters: list[str] = []
@@ -60,8 +65,7 @@ def parse_word(text: str, alphabet) -> Word:
         if exp >= 0:
             letters.extend([base] * exp)
         else:
-            inv = base[: -len(INVERSE_SUFFIX)] if base.endswith(INVERSE_SUFFIX) else base + INVERSE_SUFFIX
-            letters.extend([inv] * (-exp))
+            letters.extend([inverse_label(base)] * (-exp))
     if not letters:
         raise ValueError("word reduces to no letters (zero exponent)")
     return Word(tuple(letters))
@@ -120,7 +124,7 @@ class GroupSpec:
             if mat.det().is_zero():
                 raise ValueError(f"generator {label!r} is singular")
             alphabet[label] = mat
-            alphabet[label + INVERSE_SUFFIX] = mat.inverse()
+            alphabet[inverse_label(label)] = mat.inverse()
         self.char = char
         self.variables = variables
         self.size = sizes.pop()

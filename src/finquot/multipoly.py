@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .unipoly import UniPoly
-
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     """Graded lexicographic sort key: total degree first, then the vector."""
@@ -31,7 +29,7 @@ def grlex_key(exps: tuple[int, ...]) -> tuple:
 class MultiPoly:
     """Immutable sparse polynomial in `nvars` variables over Z or F_p."""
 
-    __slots__ = ("char", "nvars", "terms", "_key")
+    __slots__ = ("char", "nvars", "terms")
 
     def __init__(self, char: int, nvars: int, terms: dict[tuple[int, ...], int]):
         if char < 0 or char == 1:
@@ -47,7 +45,6 @@ class MultiPoly:
         self.char = char
         self.nvars = nvars
         self.terms = clean
-        self._key = (char, nvars, tuple(sorted(clean.items())))
 
     @classmethod
     def zero(cls, char: int, nvars: int) -> "MultiPoly":
@@ -69,10 +66,12 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self._key == other._key
+        if not isinstance(other, MultiPoly):
+            return False
+        return (self.char, self.nvars, self.terms) == (other.char, other.nvars, other.terms)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.char, self.nvars, frozenset(self.terms.items())))
 
     def _check(self, other: "MultiPoly") -> None:
         if self.char != other.char or self.nvars != other.nvars:
@@ -157,16 +156,6 @@ class MultiPoly:
                 out.pop(d, None)
         return out
 
-    def substitute_powers(self, exponents: tuple[int, ...] | list[int]) -> UniPoly:
-        """Dense form of substitute_sparse; only safe for modest degrees."""
-        out = self.substitute_sparse(exponents)
-        if not out:
-            return UniPoly.zero(self.char)
-        cs = [0] * (max(out) + 1)
-        for d, c in out.items():
-            cs[d] = c
-        return UniPoly(self.char, tuple(cs))
-
     def evaluate(self, point, field):
         """Evaluate at encoded elements of a fields.Field; returns an encoded element."""
         if len(point) != self.nvars:
@@ -228,7 +217,7 @@ class ExponentChoice:
 
 
 def substitution_exponents(f: MultiPoly) -> ExponentChoice:
-    """Exponents making substitute_powers(f) nonzero; verified before return."""
+    """Exponents making substitute_sparse(f) nonzero; verified before return."""
     if f.is_zero():
         raise ValueError("zero polynomial has no nonzero substitution")
     exps = tuple(_recursion_exponents(f))

@@ -426,14 +426,12 @@ class AuditReport:
     min_ratio_at: int
 
 
-def inequality_audit(n_max: int, group_id: str = "Z") -> AuditReport:
+def inequality_audit(n_max: int) -> AuditReport:
     """Pigeonhole instantiation for the integers: 2n+1 <= F(n)^F(n).
 
     The exponent is s(F(n)) with s(k) = k for the infinite cyclic group.
     Exact arithmetic; the reported ratio is the slack F(n)^F(n) / (2n+1).
     """
-    if group_id != "Z":
-        raise ValueError("audit is defined for the catalog group 'Z' only")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     failures = []

@@ -84,10 +84,6 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero")
         return RatFunc(self.den, self.num)
 
-    def cross_equal(self, other: "RatFunc") -> bool:
-        """Equality by cross multiplication, independent of reduction."""
-        return (self.num * other.den) == (other.num * self.den)
-
     def render(self, names=None) -> str:
         if self.den.is_const() and self.den.const_value() == 1:
             return self.num.render(names)

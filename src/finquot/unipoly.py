@@ -1,8 +1,10 @@
-"""Univariate polynomials over Z or F_p, with lowest-degree-first coefficients.
+"""Univariate polynomials over F_p, with lowest-degree-first coefficients.
 
-The zero polynomial is the empty coefficient tuple and has degree -1.  Over a
-prime characteristic, coefficients are canonical residues in [0, p).  The
-irreducibility test is Rabin's deterministic criterion; enumeration of monic
+The zero polynomial is the empty coefficient tuple and has degree -1, and
+coefficients are canonical residues in [0, p).  These are the moduli and
+irreducibles of the witness construction; a substituted polynomial, whose
+degree can be enormous, stays a sparse dict (MultiPoly.substitute_sparse).
+The irreducibility test is Rabin's deterministic criterion; enumeration of monic
 irreducibles walks coefficient tuples (constant term first) in lexicographic
 order, which fixes the "first irreducible" used by witness construction.
 """
@@ -19,17 +21,15 @@ IRREDUCIBLE_ENUM_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class UniPoly:
-    """A polynomial in one variable over Z (char 0) or F_p (char p prime)."""
+    """A polynomial in one variable over F_p; field operations need p prime."""
 
     char: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.char < 0 or self.char == 1:
-            raise ValueError("characteristic must be 0 or a prime")
-        cs = self.coeffs
-        if self.char:
-            cs = tuple(c % self.char for c in cs)
+        if self.char < 2:
+            raise ValueError(f"{self.char} is not prime")
+        cs = tuple(c % self.char for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -89,27 +89,13 @@ class UniPoly:
     def scale(self, c: int) -> "UniPoly":
         return UniPoly(self.char, tuple(c * a for a in self.coeffs))
 
-    def eval_int(self, x: int) -> int:
-        """Evaluate at an integer by Horner's rule (exact; reduces mod p in char p)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc % self.char if self.char else acc
-
-    def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
-
-    # Field-coefficient operations; all require char p.
-
     def monic(self) -> "UniPoly":
-        self._field()
         if not self.coeffs:
             return self
         inv = pow(self.coeffs[-1], self.char - 2, self.char)
         return self.scale(inv)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        self._field()
         self._check(other)
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
@@ -131,15 +117,8 @@ class UniPoly:
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return self.divmod(other)[1]
 
-    def divides(self, other: "UniPoly") -> bool:
-        """True when self divides other over F_p."""
-        if not self.coeffs:
-            return not other.coeffs
-        return (other % self).is_zero()
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd over F_p."""
-        self._field()
         a, b = self, other
         while b.coeffs:
             a, b = b, a % b
@@ -147,7 +126,6 @@ class UniPoly:
 
     def powmod(self, e: int, mod: "UniPoly") -> "UniPoly":
         """self**e mod `mod` over F_p by square and multiply."""
-        self._field()
         acc = UniPoly.const(self.char, 1)
         base = self % mod
         while e:
@@ -158,7 +136,7 @@ class UniPoly:
         return acc
 
     def render(self, name: str = "x") -> str:
-        """Human form, highest degree first, e.g. '2*x^3 - x + 1'."""
+        """Human form, highest degree first, e.g. '2*x^3 + x + 1'."""
         if not self.coeffs:
             return "0"
         parts = []
@@ -166,25 +144,16 @@ class UniPoly:
             c = self.coeffs[e]
             if not c:
                 continue
-            mag = abs(c)
             if e == 0:
-                body = str(mag)
+                parts.append(str(c))
             else:
                 var = name if e == 1 else f"{name}^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+                parts.append(var if c == 1 else f"{c}*{var}")
+        return " + ".join(parts)
 
     def _check(self, other: "UniPoly") -> None:
         if self.char != other.char:
             raise ValueError("characteristic mismatch")
-
-    def _field(self) -> None:
-        if not self.char:
-            raise ValueError("operation requires prime characteristic")
 
 
 def gauss_irreducible_count(p: int, ell: int) -> int:
@@ -201,8 +170,6 @@ def gauss_irreducible_count(p: int, ell: int) -> int:
 
 def is_irreducible(f: UniPoly) -> bool:
     """Rabin's deterministic irreducibility test over F_p."""
-    if f.char == 0:
-        raise ValueError("irreducibility test is over F_p only")
     n = f.degree
     if n < 1:
         return False
@@ -216,17 +183,18 @@ def is_irreducible(f: UniPoly) -> bool:
     return x.powmod(p**n, f) == (x % f)
 
 
-def enumerate_irreducibles(p: int, ell: int, budget: int = IRREDUCIBLE_ENUM_BUDGET):
+def enumerate_irreducibles(p: int, ell: int):
     """Yield the monic irreducibles of degree ell over F_p in lexicographic order.
 
     Order is lexicographic on the coefficient tuple (a_0, ..., a_{ell-1}) below
     the leading 1, so for (p, ell) = (3, 1) the sequence is x, x+1, x+2.
+    Raises BudgetExceeded when p^ell exceeds IRREDUCIBLE_ENUM_BUDGET.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     if ell < 1:
         raise ValueError("degree must be >= 1")
-    if p**ell > budget:
+    if p**ell > IRREDUCIBLE_ENUM_BUDGET:
         raise BudgetExceeded(
             f"enumerating degree-{ell} polynomials over F_{p} needs budget {p ** ell}",
             required=p**ell,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import primes, smallest_prime_not_dividing
 from .errors import FinquotError, IdentityWordError
 from .fields import Field, finite_field
-from .groups import GroupSpec, Word, scaled_difference, word_evaluate
+from .groups import GroupSpec, Word, inverse_label, scaled_difference, word_evaluate
 from .multipoly import MultiPoly, substitution_exponents
 from .ratfunc import FieldMatrix
 from .unipoly import UniPoly, enumerate_irreducibles
@@ -230,12 +230,16 @@ def separate(
 def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     """Independent certificate check; returns (ok, reason).
 
-    Re-derives nothing from the search: checks field-size consistency, that
-    phi and all generator denominators stay units, that generator images are
-    invertible, that the word's image differs from the identity, and spot
+    Re-derives nothing from the search: checks that the target field has the
+    spec's characteristic (a characteristic-0 spec maps into any finite
+    field), field-size consistency, that phi and all generator denominators
+    stay units, that each generator's image times its inverse's image is the
+    identity, that the word's image differs from the identity, and spot
     multiplicativity on word prefixes.
     """
     hom = record.hom
+    if spec.char and hom.char != spec.char:
+        return False, "characteristic-mismatch"
     if hom.field_size != record.field_size:
         return False, "field-size-mismatch"
     if record.gl_bound != record.field_size ** (spec.size**2):
@@ -249,24 +253,26 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         ims = hom.generator_images(spec)
     except ZeroDivisionError:
         return False, "denominator-killed"
-    for mat in ims.values():
-        if _det(mat, field, spec.size) == 0:
+    m = spec.size
+    mul, ident = field.product(m), field.identity(m)
+    # image(g) * image(g^-1) = I makes both images invertible
+    for label in spec.base_labels:
+        if mul(ims[label], ims[inverse_label(label)]) != ident:
             return False, "singular-generator"
     letters = record.word.letters
     if record.word_length != len(letters):
         return False, "length-mismatch"
     if any(l not in ims for l in letters):
         return False, "unknown-letter"
-    m, n = spec.size, len(letters)
+    n = len(letters)
     cuts = sorted({c for c in (1, n // 2, n - 1) if 0 < c < n})
     prefixes = {}
-    prod, done = field.identity(m), 0
+    prod, done = ident, 0
     for cut in (*cuts, n):
         prod = word_image(letters[done:cut], ims, field, m, start=prod)
         prefixes[cut], done = prod, cut
-    if prod == field.identity(m):
+    if prod == ident:
         return False, "word-collapses"
-    mul = field.product(m)
     for cut in cuts:
         if mul(prefixes[cut], word_image(letters[cut:], ims, field, m)) != prod:
             return False, "multiplicativity"
@@ -280,19 +286,6 @@ def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> t
     if not exact:
         return hom.field_size ** (spec.size**2), False
     return order, True
-
-
-def _det(mat: tuple[int, ...], field: Field, m: int) -> int:
-    if m == 1:
-        return mat[0]
-    acc = 0
-    sign_neg = False
-    for j in range(m):
-        minor = tuple(mat[r * m + c] for r in range(1, m) for c in range(m) if c != j)
-        term = field.mul(mat[j], _det(minor, field, m - 1))
-        acc = field.add(acc, field.neg(term) if sign_neg else term)
-        sign_neg = not sign_neg
-    return acc
 
 
 def word_image(letters, images, field: Field, m: int, start=None) -> tuple[int, ...]:

@@ -290,6 +290,23 @@ def test_verify_refuses_composite_characteristic(tmp_path, capsys, spec, word, c
     assert "is not prime" in json.loads(err)["message"]
 
 
+def test_verify_refuses_hom_of_other_characteristic(tmp_path, capsys):
+    # t -> 2 in F_5 does not extend to F_3[t], because 3 maps to 3 != 0
+    data = _witness_data(capsys, "sanov_f3", "a b")
+    data["hom"].update({"char": 5, "modulus": None, "images": [2]})
+    data["field_size"] = 5
+    data["gl_bound"] = 5**4
+    assert _verify_data(tmp_path, capsys, "sanov_f3", data) == (1, "characteristic-mismatch\n", "")
+
+
+@pytest.mark.parametrize("char", [1, -3])
+def test_verify_refuses_modulus_under_non_prime_characteristic(tmp_path, capsys, char):
+    data = _witness_data(capsys, "sanov_f3", "a b")
+    data["hom"]["char"] = char
+    code, out, err = _verify_data(tmp_path, capsys, "sanov_f3", data)
+    assert _refused(code, out, err)["message"] == f"malformed witness file: {char} is not prime"
+
+
 @pytest.mark.parametrize(
     "spec,modulus",
     [("sanov", [1, 0, 1]), ("sanov_f3", [1, 2]), ("sanov_f3", [1, 0, 2])],

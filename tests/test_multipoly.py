@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 
 from finquot.fields import finite_field
 from finquot.multipoly import MultiPoly, mp_divexact, mp_gcd, substitution_exponents
@@ -67,28 +68,52 @@ def test_evaluate():
     assert g.evaluate([f9.encode((0, 1))], f9) == f9.encode((-1,))
 
 
-def test_substitute_powers_examples():
+def test_substitute_sparse_examples():
     x1, x2 = var(0), var(1)
-    assert (x1 - x2).substitute_powers((1, 0)) == UniPoly(0, (-1, 1))
+    assert (x1 - x2).substitute_sparse((1, 0)) == {0: -1, 1: 1}
     f = MultiPoly(0, 2, {(2, 1): 3, (0, 0): -2})
-    assert f.substitute_powers((0, 0)) == UniPoly(0, (sum(f.terms.values()),))  # f(1, 1)
-    assert (x1 * x2).substitute_powers((2, 3)) == UniPoly(0, (0, 0, 0, 0, 0, 1))
+    assert f.substitute_sparse((0, 0)) == {0: sum(f.terms.values())}  # f(1, 1)
+    assert (x1 * x2).substitute_sparse((2, 3)) == {5: 1}
+    assert (x1 - x2).substitute_sparse((1, 1)) == {}
 
 
-def test_substitute_sparse_matches_dense():
+def _to_sympy(f, syms):
+    return sum(c * sympy.prod(s**e for s, e in zip(syms, exps)) for exps, c in f.terms.items())
+
+
+def test_substitute_sparse_matches_sympy():
     rng = random.Random(23)
+    x = sympy.Symbol("x")
     for char in (0, 2, 5):
         for _ in range(60):
             nvars = rng.randrange(1, 4)
             f = random_poly(rng, char, nvars)
             exps = tuple(rng.randrange(6) for _ in range(nvars))
-            sparse = f.substitute_sparse(exps)
-            dense = f.substitute_powers(exps)
-            rebuilt = [0] * (max(sparse, default=-1) + 1)
-            for deg, c in sparse.items():
-                rebuilt[deg] = c
-            assert UniPoly(char, tuple(rebuilt)) == dense
-            assert all(c != 0 for c in sparse.values())
+            syms = sympy.symbols(f"y1:{nvars + 1}")
+            expr = sympy.expand(_to_sympy(f, syms).subs({s: x**n for s, n in zip(syms, exps)}))
+            want = _reduced({m[0]: int(c) for m, c in sympy.Poly(expr, x).terms()}, char)
+            assert f.substitute_sparse(exps) == want
+
+
+def _reduced(terms, char):
+    if char:
+        terms = {d: c % char for d, c in terms.items()}
+    return {d: c for d, c in terms.items() if c}
+
+
+def _sparse_add(a, b, char):
+    out = dict(a)
+    for d, c in b.items():
+        out[d] = out.get(d, 0) + c
+    return _reduced(out, char)
+
+
+def _sparse_mul(a, b, char):
+    out = {}
+    for da, ca in a.items():
+        for db, cb in b.items():
+            out[da + db] = out.get(da + db, 0) + ca * cb
+    return _reduced(out, char)
 
 
 def test_substitution_is_ring_hom():
@@ -98,9 +123,9 @@ def test_substitution_is_ring_hom():
         f = random_poly(rng, char, 2)
         g = random_poly(rng, char, 2)
         exps = (rng.randrange(5), rng.randrange(5))
-        sf, sg = f.substitute_powers(exps), g.substitute_powers(exps)
-        assert (f + g).substitute_powers(exps) == sf + sg
-        assert (f * g).substitute_powers(exps) == sf * sg
+        sf, sg = f.substitute_sparse(exps), g.substitute_sparse(exps)
+        assert (f + g).substitute_sparse(exps) == _sparse_add(sf, sg, char)
+        assert (f * g).substitute_sparse(exps) == _sparse_mul(sf, sg, char)
 
 
 def test_exponent_choice_for_constants():
@@ -176,6 +201,41 @@ def test_mp_gcd_char_p():
     h = mp_gcd(f, g)
     assert mp_divexact(f, h).total_degree() == 1
     assert mp_divexact(g, h).total_degree() == 1
+
+
+def test_mp_gcd_matches_sympy_up_to_unit():
+    rng = random.Random(41)
+    syms = sympy.symbols("y1:3")
+    for char in (0, 0, 2, 3, 5):
+        for _ in range(12):
+            common = random_poly(rng, char, 2, max_terms=3, max_exp=2)
+            f = random_poly(rng, char, 2, max_terms=3, max_exp=2) * common
+            g = random_poly(rng, char, 2, max_terms=3, max_exp=2) * common
+            if f.is_zero() or g.is_zero():
+                continue
+            opts = {"modulus": char} if char else {}
+            ours = sympy.Poly(_to_sympy(mp_gcd(f, g), syms), *syms, **opts)
+            theirs = sympy.gcd(
+                sympy.Poly(_to_sympy(f, syms), *syms, **opts),
+                sympy.Poly(_to_sympy(g, syms), *syms, **opts),
+            )
+            if char:
+                assert ours.monic() == theirs.monic()
+            else:
+                assert ours in (theirs, -theirs)
+
+
+def test_equality_and_hash_ignore_insertion_order():
+    terms = [((2, 0), 3), ((0, 1), -1), ((1, 1), 5), ((0, 0), 7)]
+    f = MultiPoly(0, 2, dict(terms))
+    g = MultiPoly(0, 2, dict(reversed(terms)))
+    assert list(f.terms) != list(g.terms)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+    assert MultiPoly(0, 2, {(1, 0): 1}) != MultiPoly(5, 2, {(1, 0): 1})
+    assert MultiPoly.zero(0, 1) != MultiPoly.zero(0, 2)
+    assert MultiPoly.const(3, 1, 1) != MultiPoly.const(3, 1, 2)
+    assert f != f.scale(2)
 
 
 def test_render():

@@ -144,7 +144,7 @@ def test_golden_roots_within_matches_factor_degrees():
             if rem.degree <= 0:
                 break
             for cand in enumerate_irreducibles(p, ell):
-                while cand.divides(rem):
+                while (rem % cand).is_zero():
                     degrees.append(ell)
                     rem = rem.divmod(cand)[0]
         assert rem.degree == 0

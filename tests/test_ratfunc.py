@@ -68,14 +68,6 @@ def test_arithmetic():
         RatFunc.const(0, 1, 0).inverse()
 
 
-def test_cross_equal():
-    t, one = t_var(), c_poly(1)
-    a = RatFunc(t * t - one, t - one)
-    b = RatFunc.of_poly(t + one)
-    assert a.cross_equal(b)
-    assert not a.cross_equal(RatFunc.of_poly(t))
-
-
 def test_multivariate_gcd_cancellation():
     x = MultiPoly.variable(0, 2, 0)
     y = MultiPoly.variable(0, 2, 1)

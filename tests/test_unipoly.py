@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+import sympy
 
 from finquot.errors import BudgetExceeded
 from finquot.unipoly import (
@@ -18,17 +20,21 @@ def poly(char, *coeffs):
 
 
 def test_construction_normalizes():
-    assert poly(0, 1, 2, 0, 0).coeffs == (1, 2)
     assert poly(5, 6, 7).coeffs == (1, 2)
     assert poly(2, 0).is_zero()
     assert poly(2, 0).degree == -1
     assert poly(3, 4).degree == 0
-    assert poly(0, 0, 0, 3).degree == 2
+
+
+@pytest.mark.parametrize("char", [0, 1, -3])
+def test_construction_refuses_char_below_two(char):
+    with pytest.raises(ValueError, match=f"^{char} is not prime$"):
+        poly(char, 1, 1)
 
 
 def test_arithmetic_matches_int_convolution():
     rng = random.Random(11)
-    for char in (0, 2, 3, 7):
+    for char in (2, 3, 7):
         for _ in range(60):
             a = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 6))]
             b = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 6))]
@@ -85,12 +91,6 @@ def test_powmod():
         assert base.powmod(e, mod) == naive
 
 
-def test_eval_int():
-    f = poly(0, -1, 0, 1)  # x^2 - 1
-    assert f.eval_int(3) == 8
-    assert poly(5, 1, 1).eval_int(4) == 0  # 4 + 1 = 5 = 0 in F_5
-
-
 def test_irreducibility_examples():
     assert is_irreducible(poly(2, 1, 1, 1))  # x^2 + x + 1
     assert not is_irreducible(poly(2, 1, 0, 1))  # x^2 + 1 = (x+1)^2
@@ -124,10 +124,47 @@ def test_irreducibility_against_factor_search():
                     dc.append(c % p)
                     c //= p
                 d = poly(p, *dc)
-                if 1 <= d.degree < f.degree and d.divides(f):
+                if 1 <= d.degree < f.degree and (f % d).is_zero():
                     has_factor = True
                     break
             assert is_irreducible(f) == (not has_factor)
+
+
+X = sympy.Symbol("x")
+
+
+def _sympy_poly(f):
+    return sympy.Poly(list(reversed(f.coeffs)) or [0], X, modulus=f.char)
+
+
+def _from_sympy(g, p):
+    return UniPoly(p, tuple(int(c) for c in reversed(g.all_coeffs())))
+
+
+def test_irreducibility_matches_sympy():
+    # every monic polynomial of degree 1..4 over F_2, F_3 and F_5
+    checked = 0
+    for p in (2, 3, 5):
+        for deg in range(1, 5):
+            for tail in itertools.product(range(p), repeat=deg):
+                f = UniPoly(p, tail + (1,))
+                assert is_irreducible(f) == _sympy_poly(f).is_irreducible, f
+                checked += 1
+    assert checked == 930
+
+
+def test_divmod_and_gcd_match_sympy():
+    rng = random.Random(19)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            a = poly(p, *[rng.randrange(p) for _ in range(rng.randrange(1, 9))])
+            b = poly(p, *[rng.randrange(p) for _ in range(rng.randrange(1, 6))])
+            if b.is_zero():
+                continue
+            q, r = a.divmod(b)
+            sq, sr = sympy.div(_sympy_poly(a), _sympy_poly(b))
+            assert (q, r) == (_from_sympy(sq, p), _from_sympy(sr, p))
+            assert a.gcd(b) == _from_sympy(sympy.gcd(_sympy_poly(a), _sympy_poly(b)).monic(), p)
 
 
 def test_gauss_count_examples():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from finquot.errors import IdentityWordError
+from finquot.fields import finite_field
 from finquot.groups import GroupSpec
 from finquot.multipoly import MultiPoly
 from finquot.profiler import ReductionBudget
@@ -77,8 +78,8 @@ def test_charzero_prime_within_chain_bound():
     for _ in range(120):
         f = random_poly(rng, 0, rng.randrange(1, 3))
         hom = charzero_witness(f)
-        g = f.substitute_powers(hom.exponents)
-        r, a = g.degree, g.max_abs_coeff()
+        g = f.substitute_sparse(hom.exponents)
+        r, a = max(g), max(abs(c) for c in g.values())
         assert hom.char <= chain_prime_bound((r + 1) * hom.ell**r * a)
 
 
@@ -117,9 +118,9 @@ def test_charp_degree_within_count_bound():
         f = random_poly(rng, p, rng.randrange(1, 3))
         hom = charp_witness(f)
         assert hom.apply(f) != 0
-        g = f.substitute_powers(hom.exponents)
+        g = f.substitute_sparse(hom.exponents)
         cap = 1
-        while gauss_irreducible_count(p, cap) <= max(g.degree, 0) / cap:
+        while gauss_irreducible_count(p, cap) <= max(g) / cap:
             cap += 1
         assert hom.modulus.degree <= cap
 
@@ -200,6 +201,33 @@ def test_verify_rejects_tampering(sanov):
     assert verify_witness(sanov, bad) == (False, "length-mismatch")
     bad = dataclasses.replace(rec, word=sanov.word("a a^-1"), word_length=2)
     assert verify_witness(sanov, bad) == (False, "word-collapses")
+
+
+def test_verify_rejects_hom_of_other_characteristic(sanov3):
+    rec = separate(sanov3, sanov3.word("a b"))
+    f5 = FieldHom(5, None, (2,), rec.hom.exponents)
+    bad = dataclasses.replace(rec, hom=f5, field_size=5, gl_bound=5**4)
+    assert verify_witness(sanov3, bad) == (False, "characteristic-mismatch")
+
+
+def test_verify_accepts_any_field_for_characteristic_zero(sanov):
+    # Z[t] maps into every finite field, so t -> x in F_9 is a true certificate
+    f9 = finite_field(3, UniPoly(3, (1, 0, 1)))
+    hom = FieldHom(3, f9.modulus, (f9.encode((0, 1)),), (1,))
+    rec = separate(sanov, sanov.word("a b"))
+    cert = dataclasses.replace(rec, hom=hom, field_size=9, gl_bound=9**4)
+    assert verify_witness(sanov, cert) == (True, "ok")
+
+
+def test_verify_rejects_singular_generator_image(sanov, monkeypatch):
+    rec = separate(sanov, sanov.word("a b"))
+    true_images = FieldHom.generator_images
+
+    def singular_a(self, spec):
+        return {**true_images(self, spec), "a": (1, 1, 1, 1)}
+
+    monkeypatch.setattr(FieldHom, "generator_images", singular_a)
+    assert verify_witness(sanov, rec) == (False, "singular-generator")
 
 
 def test_verify_rejects_denominator_killing_hom(diagonal):
