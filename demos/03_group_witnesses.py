@@ -24,7 +24,7 @@ print(f"\nwitness entry: {record.entry}, target field: F_{record.field_size}")
 print(f"generator images: t -> ({hom.field.render(hom.images[0])},)")
 print(f"ambient bound |GL_2(F_{record.field_size})| <= {record.gl_bound}")
 if record.image_order_exact:
-    print(f"actual image order: {record.image_order} (exact, by closure)")
+    print(f"actual image order: {record.image_order} (exact, by stabilizer chain)")
 
 ok, reason = verify_witness(spec, record)
 print(f"independent verification: {reason}")

@@ -58,6 +58,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_KNOWN_PRIMES: set[int] = set()
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError("<p> is not prime") unless p is prime.
+
+    Primes that pass are remembered, so the polynomial constructors that
+    call this on every instance pay one set lookup.
+    """
+    if p not in _KNOWN_PRIMES:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        _KNOWN_PRIMES.add(p)
+
+
 def primes() -> Iterator[int]:
     """Yield the primes in increasing order."""
     yield 2

@@ -7,8 +7,8 @@ and does its arithmetic by q x q tables.  In both, 0 and 1 encode zero and
 one, and an integer n embeds as n mod p.  finite_field() builds one Field
 per (p, modulus) and caches it, so tables are built once per process.
 
-Matrices over F_q are flat row-major tuples of encoded elements, so closure
-enumeration and dedup run on machine integers.  Every product goes through
+Matrices over F_q are flat row-major tuples of encoded elements, so image
+orders and word images run on machine integers.  Every product goes through
 Field.product(m): for m = 2 an unrolled kernel (plain `% p` arithmetic over
 a prime field, table lookups over an extension field), for other sizes the
 generic Field.mat_mul, which is also the reference the tests compare the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import is_prime
+from .algebra import check_prime
 from .unipoly import UniPoly, is_irreducible
 
 
@@ -27,8 +27,7 @@ class Field:
     """Arithmetic on the encoded elements of F_p (modulus None) or F_p[x]/(modulus)."""
 
     def __init__(self, p: int, modulus: UniPoly | None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_prime(p)
         self.p = p
         self.modulus = modulus
         if modulus is None:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .algebra import check_prime
+
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     """Graded lexicographic sort key: total degree first, then the vector."""
@@ -32,8 +34,8 @@ class MultiPoly:
     __slots__ = ("char", "nvars", "terms")
 
     def __init__(self, char: int, nvars: int, terms: dict[tuple[int, ...], int]):
-        if char < 0 or char == 1:
-            raise ValueError("characteristic must be 0 or a prime")
+        if char:
+            check_prime(char)
         clean: dict[tuple[int, ...], int] = {}
         for exps, c in terms.items():
             if len(exps) != nvars:

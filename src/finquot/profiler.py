@@ -3,9 +3,9 @@ minima for matrix groups, word growth, the subgroup-growth catalog, and the
 pigeonhole / threshold audits.
 
 The reduction oracle enumerates every homomorphism into finite fields within
-an explicit budget, computes exact image orders by closure, and certifies the
-returned minimum as exhaustive only when a documented structural floor rules
-out smaller images beyond the budget.
+an explicit budget, computes exact image orders by a Schreier-Sims
+stabilizer chain, and certifies the returned minimum as exhaustive only when
+a documented structural floor rules out smaller images beyond the budget.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class ReductionBudget:
 
     max_prime bounds target primes in characteristic 0; max_degree bounds
     extension degrees over the base prime in characteristic p; order_budget
-    caps the closure size for exact image orders; ball_budget caps the
+    caps the image orders that count as exact; ball_budget caps the
     number of ball elements a profile enumerates.  The fields are the only
     list of budget names; every value must satisfy is_budget_value.
     """
@@ -74,7 +74,7 @@ class ReductionBudget:
 class _ScanHom:
     """One reduction homomorphism with precomputed image data.
 
-    order is None when the image closure exceeded the order budget; such a
+    order is None when the image order exceeds the order budget; such a
     hom can never claim a minimum but still matters for error reporting.
     """
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import factorize, is_prime, mobius
+from .algebra import check_prime, factorize, is_prime, mobius
 from .errors import BudgetExceeded, FinquotError
 
 IRREDUCIBLE_ENUM_BUDGET = 1 << 20
@@ -27,8 +27,7 @@ class UniPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.char < 2:
-            raise ValueError(f"{self.char} is not prime")
+        check_prime(self.char)
         cs = tuple(c % self.char for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]

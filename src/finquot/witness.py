@@ -232,18 +232,30 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
 
     Re-derives nothing from the search: checks that the target field has the
     spec's characteristic (a characteristic-0 spec maps into any finite
-    field), field-size consistency, that phi and all generator denominators
+    field), field-size consistency, that the entry is a cell of the matrix,
+    that the record claims verified, that phi and all generator denominators
     stay units, that each generator's image times its inverse's image is the
-    identity, that the word's image differs from the identity, and spot
-    multiplicativity on word prefixes.
+    identity, that the word's image differs from the identity, spot
+    multiplicativity on word prefixes, and the image-order claim: none, the
+    GL bound as inexact, or an exact order that image_order reproduces with
+    the claimed order as its budget, so the recomputation costs no more than
+    the claim.
     """
     hom = record.hom
+    m = spec.size
     if spec.char and hom.char != spec.char:
         return False, "characteristic-mismatch"
     if hom.field_size != record.field_size:
         return False, "field-size-mismatch"
-    if record.gl_bound != record.field_size ** (spec.size**2):
+    if record.gl_bound != record.field_size ** (m**2):
         return False, "gl-bound-mismatch"
+    entry = record.entry
+    if not (
+        isinstance(entry, tuple) and len(entry) == 2 and all(type(v) is int and 0 <= v < m for v in entry)
+    ):
+        return False, "entry-out-of-range"
+    if record.verified is not True:
+        return False, "not-verified"
     if len(hom.images) != spec.nvars:
         return False, "image-arity-mismatch"
     if hom.apply(spec.phi) == 0:
@@ -253,7 +265,6 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         ims = hom.generator_images(spec)
     except ZeroDivisionError:
         return False, "denominator-killed"
-    m = spec.size
     mul, ident = field.product(m), field.identity(m)
     # image(g) * image(g^-1) = I makes both images invertible
     for label in spec.base_labels:
@@ -276,13 +287,24 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     for cut in cuts:
         if mul(prefixes[cut], word_image(letters[cut:], ims, field, m)) != prod:
             return False, "multiplicativity"
+    order, exact = record.image_order, record.image_order_exact
+    if exact is False:
+        if order != record.gl_bound:
+            return False, "inexact-order-not-gl-bound"
+    elif exact is True:
+        if not (type(order) is int and order > 0 and image_order(spec, hom, order) == (order, True)):
+            return False, "image-order-mismatch"
+    elif exact is not None or order is not None:
+        return False, "image-order-mismatch"
     return True, "ok"
 
 
 def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> tuple[int, bool]:
-    """Exact order of the image group by closure, or (gl_bound, False) past budget."""
+    """Exact order of the image group by a stabilizer chain, or (gl_bound, False)
+    when the order exceeds budget."""
     ims = hom.generator_images(spec)
-    order, exact = closure_order([ims[l] for l in spec.base_labels], hom.field, spec.size, budget)
+    pairs = [(ims[l], ims[inverse_label(l)]) for l in spec.base_labels]
+    order, exact = stabilizer_chain_order(pairs, hom.field, spec.size, budget)
     if not exact:
         return hom.field_size ** (spec.size**2), False
     return order, True
@@ -297,26 +319,89 @@ def word_image(letters, images, field: Field, m: int, start=None) -> tuple[int, 
     return prod
 
 
-def closure_order(gens, field: Field, m: int, budget: int) -> tuple[int, bool]:
-    """Size of the generated group by breadth-first closure under the generators."""
+def stabilizer_chain_order(pairs, field: Field, m: int, budget: int) -> tuple[int, bool]:
+    """Order of the group generated by (g, g^-1) pairs of m x m matrices, by a
+    deterministic Schreier-Sims stabilizer chain (Sims 1970; Butler 1976).
+
+    The group acts on row vectors with the standard basis as its base: the
+    image of e_k under g is row k of g.  Level k holds the strong generators
+    that fix e_0..e_{k-1}, the orbit of e_k under them, and a transversal
+    mapping each orbit point to a pair (u, u^-1) with e_k u = point.  Every
+    (orbit point, strong generator) pair is handled once: it extends the
+    orbit or yields a Schreier generator, which is sifted through the deeper
+    levels; a residue that does not sift becomes a strong generator of the
+    levels k+1..j whose base points it fixes.  Transversal entries never
+    change, so a pair that sifted once stays sifted, and once every pair is
+    handled the order is the product of the orbit lengths.  That product is
+    a lower bound on the order throughout, so the result is (order, True)
+    iff the order is at most budget, and (a lower bound above budget, False)
+    otherwise.
+    """
     mul = field.product(m)
     ident = field.identity(m)
-    seen = {ident}
-    mark = seen.add
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        push = nxt.append
-        for elem in frontier:
-            for g in gens:
-                cand = mul(elem, g)
-                if cand not in seen:
-                    mark(cand)
-                    if len(seen) > budget:
-                        return len(seen), False
-                    push(cand)
-        frontier = nxt
-    return len(seen), True
+    base = [ident[k * m:(k + 1) * m] for k in range(m)]
+    strong = [list(pairs)] + [[] for _ in range(m - 1)]
+    trans = [{base[k]: (ident, ident)} for k in range(m)]
+    orbits = [[base[k]] for k in range(m)]
+    # paired[k][i]: how many of strong[k] orbit point i has been paired with
+    paired = [[0] for _ in range(m)]
+    size = 1
+
+    def sift(h, k):
+        """(residue, level it fails at, transversal elements divided out); level m if h sifts."""
+        used = []
+        for j in range(k, m):
+            point = h[j * m:(j + 1) * m]
+            if point == base[j]:
+                continue
+            entry = trans[j].get(point)
+            if entry is None:
+                return h, j, used
+            if j < m - 1:
+                h = mul(h, entry[1])
+                used.append(entry[0])
+        return h, m, used
+
+    def complete(k):
+        """Handle every pair at level k; False as soon as the orbit product passes budget."""
+        nonlocal size
+        gens, table, orbit, done = strong[k], trans[k], orbits[k], paired[k]
+        lo, hi = k * m, (k + 1) * m
+        i = 0
+        while i < len(orbit):
+            u, u_inv = table[orbit[i]]
+            while done[i] < len(gens):
+                s, s_inv = gens[done[i]]
+                done[i] += 1
+                us = mul(u, s)
+                point = us[lo:hi]
+                entry = table.get(point)
+                if entry is None:
+                    table[point] = (us, mul(s_inv, u_inv))
+                    orbit.append(point)
+                    done.append(0)
+                    size = size // (len(orbit) - 1) * len(orbit)
+                    if size > budget:
+                        return False
+                    continue
+                if k == m - 1:
+                    continue  # the stabilizer of the whole basis is trivial
+                h, j, used = sift(mul(us, entry[1]), k + 1)
+                if j == m:
+                    continue
+                h_inv = mul(entry[0], mul(s_inv, u_inv))
+                for v in used:
+                    h_inv = mul(v, h_inv)
+                for level in range(k + 1, j + 1):
+                    strong[level].append((h, h_inv))
+                for level in range(j, k, -1):
+                    if not complete(level):
+                        return False
+            i += 1
+        return True
+
+    exact = complete(0)
+    return size, exact
 
 
 def chain_prime_bound(value_bound: int, excluded: frozenset[int] = frozenset()) -> int:

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+import sympy
 
 from finquot.algebra import (
     dz,
@@ -56,6 +57,17 @@ def test_factorize_reconstructs():
         fac = factorize(n)
         assert math.prod(p**e for p, e in fac.items()) == n
         assert all(is_prime(p) for p in fac)
+
+
+def test_factorize_matches_sympy():
+    for n in range(1, 10_001):
+        assert factorize(n) == sympy.factorint(n), n
+    rng = random.Random(1_000_003)
+    for _ in range(12):
+        p = sympy.nextprime(10**6 + rng.randrange(10**4))
+        q = p if rng.random() < 0.25 else sympy.nextprime(10**6 + rng.randrange(10**4))
+        n = p * q * rng.choice((1, 2, 12))
+        assert factorize(n) == sympy.factorint(n), n
 
 
 def test_mobius_examples():

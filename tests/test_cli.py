@@ -277,6 +277,17 @@ def _verify_data(tmp_path, capsys, spec, data):
     return run(capsys, "verify", spec, str(path))
 
 
+@pytest.mark.parametrize(
+    "mended,reason",
+    [((), "entry-out-of-range"), (("entry",), "not-verified"), (("entry", "verified"), "image-order-mismatch")],
+)
+def test_verify_refuses_forged_commutator_certificate(tmp_path, capsys, mended, reason):
+    honest = _witness_data(capsys, "sanov", "a b a^-1 b^-1")
+    data = dict(honest, entry=[5, 5], image_order=1, image_order_exact=True, verified=False)
+    data.update({key: honest[key] for key in mended})
+    assert _verify_data(tmp_path, capsys, "sanov", data) == (1, f"{reason}\n", "")
+
+
 @pytest.mark.parametrize("spec,word", [("sanov", "a b"), ("cyclic", "a^3")])
 @pytest.mark.parametrize("char", [4, 1, 9])
 def test_verify_refuses_composite_characteristic(tmp_path, capsys, spec, word, char):

@@ -1,5 +1,6 @@
-"""The unrolled 2x2 field kernel and the closure built on it, checked
-against the generic Field.mat_mul they replace."""
+"""The unrolled 2x2 field kernel, checked against the generic Field.mat_mul
+it replaces, and the stabilizer-chain image order, checked against the
+element closure it replaces."""
 
 from __future__ import annotations
 
@@ -13,7 +14,14 @@ from finquot.groups import GroupSpec
 from finquot.multipoly import MultiPoly
 from finquot.ratfunc import FieldMatrix, RatFunc
 from finquot.unipoly import enumerate_irreducibles
-from finquot.witness import FieldHom, closure_order, image_order, separate, verify_witness
+from finquot.witness import (
+    ORDER_BUDGET,
+    FieldHom,
+    image_order,
+    separate,
+    stabilizer_chain_order,
+    verify_witness,
+)
 
 
 def _field(p: int, degree: int = 1):
@@ -25,6 +33,29 @@ def _field(p: int, degree: int = 1):
 # Every field the default reduction scanners use: primes up to 31 for char 0,
 # F_3^j (j <= 3) for sanov_f3, plus F_4 and F_8.
 FIELDS = [(p, 1) for p in range(2, 32) if is_prime(p)] + [(3, 2), (3, 3), (2, 2), (2, 3)]
+
+
+def closure_order(gens, field, m, budget):
+    """Size of the generated group by breadth-first closure under the generators;
+    the oracle for stabilizer_chain_order, exact iff the size is at most budget."""
+    mul = field.product(m)
+    ident = field.identity(m)
+    seen = {ident}
+    mark = seen.add
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        push = nxt.append
+        for elem in frontier:
+            for g in gens:
+                cand = mul(elem, g)
+                if cand not in seen:
+                    mark(cand)
+                    if len(seen) > budget:
+                        return len(seen), False
+                    push(cand)
+        frontier = nxt
+    return len(seen), True
 
 
 def _reference_closure(gens, field, m, budget):
@@ -83,6 +114,72 @@ def test_closure_3x3_matches_reference():
     gens = [(1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1, 0, 0, 1), (2, 0, 0, 0, 1, 0, 0, 0, 1)]
     got = closure_order(gens, field, 3, 10_000)
     assert got == _reference_closure(gens, field, 3, 10_000) == (54, True)
+
+
+def _elementary(rng, field, m, upper):
+    """A random elementary matrix and its inverse: a diagonal scaling or a row
+    addition, the latter above the diagonal when upper."""
+    cells, inv = list(field.identity(m)), list(field.identity(m))
+    i = rng.randrange(m - 1 if upper else m)
+    if rng.random() < 0.3:
+        a = rng.randrange(1, field.q)
+        cells[i * m + i], inv[i * m + i] = a, field.inv(a)
+    else:
+        j = rng.choice([j for j in range(m) if (j > i if upper else j != i)])
+        c = rng.randrange(1, field.q)
+        cells[i * m + j], inv[i * m + j] = c, field.neg(c)
+    return tuple(cells), tuple(inv)
+
+
+def _random_pair(rng, field, m, upper=False):
+    """A random invertible (upper triangular when upper) matrix and its inverse."""
+    mul = field.product(m)
+    g = g_inv = field.identity(m)
+    for _ in range(3 * m):
+        e, e_inv = _elementary(rng, field, m, upper)
+        g, g_inv = mul(g, e), mul(e_inv, g_inv)
+    return g, g_inv
+
+
+def _generator_sets(field, m):
+    """Seeded (g, g^-1) generator lists: a cyclic group, a triangular group, an
+    m-specific family, and two random generators where the closure stays cheap."""
+    rng = random.Random(10 * field.q + m)
+    sets = [[_random_pair(rng, field, m)], [_random_pair(rng, field, m, upper=True) for _ in range(2)]]
+    if m == 2:
+        c = rng.randrange(1, field.q)
+        minus = field.neg(c)
+        sets.append([((1, c, 0, 1), (1, minus, 0, 1)), ((1, 0, c, 1), (1, 0, minus, 1))])
+    else:
+        shift = tuple(int(j == (i + 1) % m) for i in range(m) for j in range(m))
+        unshift = tuple(int(i == (j + 1) % m) for i in range(m) for j in range(m))
+        a = min(2, field.q - 1)
+        scale = (a,) + field.identity(m)[1:]
+        sets.append([(shift, unshift), (scale, (field.inv(a),) + scale[1:])])
+    if field.q ** (m * m) <= 10**6:
+        sets.append([_random_pair(rng, field, m) for _ in range(2)])
+    return sets
+
+
+@pytest.mark.parametrize(
+    "p,degree,m", [(p, degree, 2) for p, degree in FIELDS] + [(2, 1, 3), (3, 1, 3), (5, 1, 3)]
+)
+def test_stabilizer_chain_matches_closure(p, degree, m):
+    field = _field(p, degree)
+    mul, ident = field.product(m), field.identity(m)
+    for pairs in _generator_sets(field, m):
+        assert all(mul(g, g_inv) == ident for g, g_inv in pairs)
+        order, exact = closure_order([g for g, _ in pairs], field, m, ORDER_BUDGET)
+        got = stabilizer_chain_order(pairs, field, m, ORDER_BUDGET)
+        assert got[1] == exact
+        if not exact:
+            assert got[0] > ORDER_BUDGET
+            continue
+        assert got == (order, True)
+        assert stabilizer_chain_order(pairs, field, m, order) == (order, True)
+        if order > 1:
+            lower, flag = stabilizer_chain_order(pairs, field, m, order - 1)
+            assert not flag and lower == order
 
 
 def test_default_scanner_totals(sanov_scanner, sanov3_scanner):

@@ -36,6 +36,14 @@ def test_construction_drops_zero_terms():
     assert MultiPoly(3, 1, {(2,): 6}).is_zero()
 
 
+@pytest.mark.parametrize("char", [1, 4, 9, 561, -3])
+def test_construction_refuses_characteristic_that_is_not_zero_or_prime(char):
+    with pytest.raises(ValueError, match=f"^{char} is not prime$"):
+        MultiPoly(char, 1, {(1,): 1})
+    assert MultiPoly(0, 1, {(1,): 1}).char == 0
+    assert MultiPoly(7, 1, {(1,): 1}).char == 7
+
+
 def test_basic_identities():
     x1, x2 = var(0), var(1)
     assert (x1 - x2) + x2 == x1

@@ -1,5 +1,5 @@
 """Conventions that live in one place: only groups.py knows the inverse-label
-suffix, only image_order runs a closure, only FieldHom.generator_images
+suffix, only image_order builds a stabilizer chain, only FieldHom.generator_images
 maps a spec's generators through a hom, and only ReductionBudget's fields
 name the budgets."""
 
@@ -13,7 +13,7 @@ import finquot
 from finquot.profiler import ReductionBudget
 
 # callee name -> the one function allowed to call it
-_SOLE_CALLERS = {"closure_order": "image_order", "apply_matrix": "generator_images"}
+_SOLE_CALLERS = {"stabilizer_chain_order": "image_order", "apply_matrix": "generator_images"}
 
 
 def _modules():

@@ -32,6 +32,20 @@ def test_construction_refuses_char_below_two(char):
         poly(char, 1, 1)
 
 
+@pytest.mark.parametrize("char", [4, 6, 9, 15, 561])
+def test_construction_refuses_composite_char(char):
+    with pytest.raises(ValueError, match=f"^{char} is not prime$"):
+        poly(char, 1, 1)
+
+
+def test_composite_char_gcd_and_irreducibility_refused_at_once():
+    # these never returned when a composite characteristic was accepted
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        poly(4, 1, 2).gcd(poly(4, 2, 2))
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        is_irreducible(poly(4, 1, 1, 1))
+
+
 def test_arithmetic_matches_int_convolution():
     rng = random.Random(11)
     for char in (2, 3, 7):

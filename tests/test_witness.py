@@ -13,6 +13,7 @@ from finquot.profiler import ReductionBudget
 from finquot.ratfunc import FieldMatrix, RatFunc
 from finquot.unipoly import UniPoly, gauss_irreducible_count
 from finquot.witness import (
+    ORDER_BUDGET,
     FieldHom,
     chain_prime_bound,
     charp_witness,
@@ -201,6 +202,49 @@ def test_verify_rejects_tampering(sanov):
     assert verify_witness(sanov, bad) == (False, "length-mismatch")
     bad = dataclasses.replace(rec, word=sanov.word("a a^-1"), word_length=2)
     assert verify_witness(sanov, bad) == (False, "word-collapses")
+
+
+def test_verify_refuses_forged_entry_and_verified_flag(sanov):
+    rec = separate(sanov, sanov.word("a b a^-1 b^-1"), order_budget=ORDER_BUDGET)
+    assert verify_witness(sanov, rec) == (True, "ok")
+    for entry in [(5, 5), (0, 2), (-1, 0), (0,), (0, 0, 0), (True, 0), (0.0, 1), [0, 1], ("0", "1")]:
+        assert verify_witness(sanov, dataclasses.replace(rec, entry=entry)) == (False, "entry-out-of-range")
+    for verified in (False, None, 1, "true"):
+        assert verify_witness(sanov, dataclasses.replace(rec, verified=verified)) == (False, "not-verified")
+
+
+def test_verify_refuses_forged_image_orders(sanov):
+    rec = separate(sanov, sanov.word("a b a^-1 b^-1"), order_budget=ORDER_BUDGET)
+    order = rec.image_order
+    assert rec.image_order_exact and 1 < order < rec.gl_bound
+    inexact = dataclasses.replace(rec, image_order=rec.gl_bound, image_order_exact=False)
+    assert verify_witness(sanov, inexact) == (True, "ok")
+    for claim in (order, rec.gl_bound - 1, None):
+        bad = dataclasses.replace(rec, image_order=claim, image_order_exact=False)
+        assert verify_witness(sanov, bad) == (False, "inexact-order-not-gl-bound")
+    for claim in (1, order - 1, order + 1, 2 * order, rec.gl_bound, 0, -order, True, str(order), None):
+        bad = dataclasses.replace(rec, image_order=claim)
+        assert verify_witness(sanov, bad) == (False, "image-order-mismatch"), claim
+    for flag in (None, 1, "true"):
+        bad = dataclasses.replace(rec, image_order_exact=flag)
+        assert verify_witness(sanov, bad) == (False, "image-order-mismatch"), flag
+    # the ROADMAP's forged commutator certificate
+    forged = dataclasses.replace(rec, entry=(5, 5), image_order=1, image_order_exact=True, verified=False)
+    assert verify_witness(sanov, forged) == (False, "entry-out-of-range")
+
+
+def test_verify_accepts_orders_made_with_small_budgets(sanov):
+    rec = separate(sanov, sanov.word("a b a^-1 b^-1"), order_budget=ORDER_BUDGET)
+    order = rec.image_order
+    tight = separate(sanov, sanov.word("a b a^-1 b^-1"), order_budget=order)
+    assert (tight.image_order, tight.image_order_exact) == (order, True)
+    assert verify_witness(sanov, tight) == (True, "ok")
+    capped = separate(sanov, sanov.word("a b a^-1 b^-1"), order_budget=order - 1)
+    assert (capped.image_order, capped.image_order_exact) == (capped.gl_bound, False)
+    assert verify_witness(sanov, capped) == (True, "ok")
+    unasked = separate(sanov, sanov.word("a b a^-1 b^-1"))
+    assert (unasked.image_order, unasked.image_order_exact) == (None, None)
+    assert verify_witness(sanov, unasked) == (True, "ok")
 
 
 def test_verify_rejects_hom_of_other_characteristic(sanov3):
