@@ -103,7 +103,7 @@ class GroupSpec:
     base_labels holds the given labels alone, sorted.
     """
 
-    __slots__ = ("char", "variables", "size", "generators", "base_labels", "phi", "excluded_primes", "__weakref__")
+    __slots__ = ("char", "variables", "size", "generators", "base_labels", "phi", "excluded_primes")
 
     def __init__(self, char: int, variables: tuple[str, ...], generators: dict[str, FieldMatrix]):
         if char != 0 and not is_prime(char):

@@ -13,14 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from weakref import WeakKeyDictionary
 
 from .algebra import factorize, next_prime, primes
 from .errors import BudgetExceeded, FinquotError, NotFoundWithinBudget
 from .fields import Field, finite_field
 from .groups import BALL_BUDGET, GroupSpec, Word, ball_enumerate, word_evaluate
 from .multipoly import MultiPoly
-from .unipoly import UniPoly, enumerate_irreducibles
+from .unipoly import enumerate_irreducibles
 from .witness import ORDER_BUDGET, FieldHom, image_order, separate, word_image
 
 
@@ -92,8 +91,6 @@ class ReductionScanner:
     """
 
     def __init__(self, spec: GroupSpec, budget: ReductionBudget):
-        # Only the size is kept: holding the spec would pin it in _SCANNERS,
-        # whose keys are weak.
         self.size = spec.size
         self.budget = budget
         self.floor = _quotient_floor(spec, budget)
@@ -190,11 +187,12 @@ def _quotient_floor(spec: GroupSpec, budget: ReductionBudget) -> int:
       j > D.  Conjugating by diag(c, 1) turns the pair into e12(c^2),
       e21(1), and by Dickson's two-unipotent theorem the group is
       SL(2, F_p(c^2)) except at golden traces: (c^2+2)^2 = (c^2+2) + 1,
-      where it is the icosahedral SL(2,5) of order 120.  Exceptional c
-      are roots of X^4 + 3X^2 + 1; when every irreducible factor of that
-      quartic fits the budget, out-of-budget kernels obey the main case
-      and the order is at least |SL(2, p^ceil((D+1)/2))| since
-      [F_p(c^2) : F_p] >= (D+1)/2.  Otherwise 120 joins the floor.
+      where it is the icosahedral SL(2,5) of order 120.  Exceptional c are
+      roots of X^4 + 3X^2 + 1 = (X^2+sX+1)(X^2-sX+1) if s^2 = -1, or
+      (X^2+sX-1)(X^2-sX-1) if s^2 = -5, or (X^2-r)(X^2-1/r) if r+1/r = -3
+      (5 a square); over odd p one holds, as (-1)(-5) = 5.  So golden c have
+      degree <= 2 <= D, and out-of-budget images have order at least
+      |SL(2, p^ceil((D+1)/2))| since [F_p(c^2) : F_p] >= (D+1)/2.
     * Single constant unipotent generator over characteristic 0: images are
       unipotent, so nontrivial image orders are powers of the target prime,
       at least nextprime(P).
@@ -210,10 +208,7 @@ def _quotient_floor(spec: GroupSpec, budget: ReductionBudget) -> int:
             p = spec.char
             if p % 2 and f.terms == {(1,): 1} and budget.max_degree >= 2:
                 m = (budget.max_degree + 2) // 2
-                floor = p**m * (p ** (2 * m) - 1)
-                if not _golden_roots_within(p, budget.max_degree):
-                    floor = min(floor, 120)
-                return floor
+                return p**m * (p ** (2 * m) - 1)
             return 2
     if spec.size == 2 and len(base) == 1 and spec.char == 0:
         if _is_constant_unipotent(base[0]):
@@ -246,30 +241,6 @@ def _is_one(cell) -> bool:
     return cell.is_poly() and cell.num.is_const() and cell.num.const_value() == 1
 
 
-def _golden_roots_within(p: int, max_degree: int) -> bool:
-    """Whether every root of X^4 + 3X^2 + 1 over F_p has degree <= max_degree.
-
-    These are the parameters of the icosahedral exception; root degrees are
-    1, 2 or 4, so the question reduces to gcd computations with X^(p^d) - X.
-    """
-    if max_degree >= 4:
-        return True
-    remaining = UniPoly(p, (1, 0, 3, 0, 1))
-    x = UniPoly(p, (0, 1))
-    for d in range(1, max_degree + 1):
-        if remaining.degree < d:
-            break
-        frob = x.powmod(p**d, remaining)
-        factor = remaining.gcd(frob - x)
-        while factor.degree > 0:
-            quo, rem = remaining.divmod(factor)
-            if not rem.is_zero():
-                raise FinquotError("a gcd factor failed to divide X^4 + 3X^2 + 1")
-            remaining = quo
-            factor = remaining.gcd(factor)
-    return remaining.degree == 0
-
-
 def _is_constant_unipotent(mat) -> bool:
     """Whether a characteristic-0 matrix has constant entries and (mat - I)^m = 0."""
     m = mat.size
@@ -287,24 +258,15 @@ def _is_constant_unipotent(mat) -> bool:
     return not any(any(row) for row in power)
 
 
-_SCANNERS: "WeakKeyDictionary[GroupSpec, dict]" = WeakKeyDictionary()
-
-
-def reduction_scanner(spec: GroupSpec, budget: ReductionBudget) -> ReductionScanner:
-    per_spec = _SCANNERS.setdefault(spec, {})
-    if budget not in per_spec:
-        per_spec[budget] = ReductionScanner(spec, budget)
-    return per_spec[budget]
-
-
 def d_reduction(spec: GroupSpec, word: Word, budget: ReductionBudget = ReductionBudget()) -> tuple[int, bool]:
     """Minimum image order over all in-budget reductions separating the word.
 
     Raises NotFoundWithinBudget when nothing in the budget separates it.
+    Builds a scanner per call; for many words, reuse one ReductionScanner.
     """
     if word_evaluate(spec, word).is_identity():
         raise ValueError("identity word has no separating quotient")
-    return reduction_scanner(spec, budget).min_order(word)
+    return ReductionScanner(spec, budget).min_order(word)
 
 
 @dataclass(frozen=True)
@@ -334,7 +296,7 @@ def farb_profile(spec: GroupSpec, n: int, budget: ReductionBudget = ReductionBud
     budget_misses and clear the exhaustive flag; the witness bound is still
     recorded for them.  A ball past budget.ball_budget raises BudgetExceeded.
     """
-    scanner = reduction_scanner(spec, budget)
+    scanner = ReductionScanner(spec, budget)
     max_glb = max_io = max_dr = misses = 0
     exhaustive = True
     by_radius: dict[int, list] = {}

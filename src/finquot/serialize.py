@@ -169,13 +169,24 @@ def _hom_to_data(hom: FieldHom) -> dict:
     }
 
 
+def _has_shape(value, shape) -> bool:
+    """Whether a JSON value is of type shape (never bool for int) or, for [shape], a list of it."""
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_has_shape(v, shape[0]) for v in value)
+    return type(value) is shape
+
+
 def _hom_from_data(data) -> FieldHom:
     """Checks the field (prime char, monic irreducible modulus) and brings the
     images to canonical form."""
-    char = data["char"]
-    modulus = None if data["modulus"] is None else UniPoly(char, tuple(data["modulus"]))
+    char, modulus, images = data["char"], data["modulus"], data["images"]
+    image = int if modulus is None else [int]
+    if not (_has_shape(char, int) and _has_shape(images, [image])
+            and (modulus is None or _has_shape(modulus, [int]))):
+        raise TypeError("hom needs an int char, a null or int-list modulus, and int or int-list images")
+    modulus = None if modulus is None else UniPoly(char, tuple(modulus))
     field = finite_field(char, modulus)
-    images = tuple(field.encode(v) for v in data["images"])
+    images = tuple(field.encode(v) for v in images)
     return FieldHom(char, modulus, images, tuple(data["exponents"]), data["ell"])
 
 
@@ -203,6 +214,9 @@ def witness_from_data(data) -> tuple[WitnessRecord, str]:
     missing = required - set(data)
     _check(not missing, f"witness file missing fields: {sorted(missing)}")
     try:
+        shapes = {"word": [str], "word_length": int, "field_size": int, "gl_bound": int}
+        if not all(_has_shape(data[key], shape) for key, shape in shapes.items()):
+            raise TypeError("word must be a list of strings; word_length, field_size and gl_bound ints")
         record = WitnessRecord(
             word=Word(tuple(data["word"])),
             word_length=data["word_length"],

@@ -55,8 +55,8 @@ class FieldHom:
     def apply_matrix(self, mat: FieldMatrix) -> tuple[int, ...]:
         """Entrywise image of a matrix of rational functions, flat and row-major.
 
-        Denominators must map to units; a zero denominator image raises,
-        which separate() precludes by folding phi into the witness target.
+        Denominators must map to units, or Field.inv raises; separate()
+        precludes that by folding phi into the witness target.
         """
         field = self.field
         cells = []
@@ -64,10 +64,7 @@ class FieldHom:
             for entry in row:
                 value = entry.num.evaluate(self.images, field)
                 if not entry.is_poly():
-                    den = entry.den.evaluate(self.images, field)
-                    if den == 0:
-                        raise ZeroDivisionError("denominator dies under the homomorphism")
-                    value = field.mul(value, field.inv(den))
+                    value = field.mul(value, field.inv(entry.den.evaluate(self.images, field)))
                 cells.append(value)
         return tuple(cells)
 
@@ -233,13 +230,13 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     Re-derives nothing from the search: checks that the target field has the
     spec's characteristic (a characteristic-0 spec maps into any finite
     field), field-size consistency, that the entry is a cell of the matrix,
-    that the record claims verified, that phi and all generator denominators
-    stay units, that each generator's image times its inverse's image is the
-    identity, that the word's image differs from the identity, spot
-    multiplicativity on word prefixes, and the image-order claim: none, the
-    GL bound as inexact, or an exact order that image_order reproduces with
-    the claimed order as its budget, so the recomputation costs no more than
-    the claim.
+    that the record claims verified, that phi, which every generator
+    denominator divides, stays a unit, that each generator's image times its
+    inverse's image is the identity, that the word's image differs from the
+    identity, spot multiplicativity on word prefixes, and the image-order
+    claim: none, the GL bound as inexact, or an exact order that image_order
+    reproduces with the claimed order as its budget, so the recomputation
+    costs no more than the claim.
     """
     hom = record.hom
     m = spec.size
@@ -261,10 +258,7 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     if hom.apply(spec.phi) == 0:
         return False, "denominator-killed"
     field = hom.field
-    try:
-        ims = hom.generator_images(spec)
-    except ZeroDivisionError:
-        return False, "denominator-killed"
+    ims = hom.generator_images(spec)
     mul, ident = field.product(m), field.identity(m)
     # image(g) * image(g^-1) = I makes both images invertible
     for label in spec.base_labels:

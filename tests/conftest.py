@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from finquot.groups import cyclic_group, diagonal_group, sanov_group
-from finquot.profiler import ReductionBudget, reduction_scanner
+from finquot.profiler import ReductionBudget, ReductionScanner
 
 
 @pytest.fixture(scope="session")
@@ -28,14 +28,14 @@ def diagonal():
 
 @pytest.fixture(scope="session")
 def sanov_scanner(sanov):
-    return reduction_scanner(sanov, ReductionBudget())
+    return ReductionScanner(sanov, ReductionBudget())
 
 
 @pytest.fixture(scope="session")
 def sanov3_scanner(sanov3):
-    return reduction_scanner(sanov3, ReductionBudget())
+    return ReductionScanner(sanov3, ReductionBudget())
 
 
 @pytest.fixture(scope="session")
 def cyclic_scanner(cyclic):
-    return reduction_scanner(cyclic, ReductionBudget())
+    return ReductionScanner(cyclic, ReductionBudget())

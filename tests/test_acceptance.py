@@ -19,9 +19,9 @@ from finquot.groups import ball_enumerate, sanov_group, scaled_difference
 from finquot.multipoly import MultiPoly, substitution_exponents
 from finquot.profiler import (
     ReductionBudget,
+    ReductionScanner,
     farb_z,
     inequality_audit,
-    reduction_scanner,
     subgroup_growth_catalog,
     sublattice_count_oracle,
 )
@@ -202,7 +202,7 @@ def test_criterion_06_reduction_sandwich(corpus):
 
     checked = 0
     for spec, ball, records in corpus.values():
-        scanner = reduction_scanner(spec, budget)
+        scanner = ReductionScanner(spec, budget)
         for element in ball:
             if len(element.word.letters) > SANDWICH_RADIUS:
                 continue

@@ -426,3 +426,48 @@ def test_verify_unreadable_witness_file(tmp_path, capsys):
     record = _refused(*run(capsys, "verify", "sanov", str(garbled)))
     assert record["error"] == "SpecFileError"
     assert record["message"].startswith(f"{garbled} is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "spec,fields,hom_fields",
+    [
+        ("sanov", {"word": [["a"], "b"]}, {}),
+        ("sanov", {"word": [{"a": 1}, "b"]}, {}),
+        ("sanov", {}, {"images": [1.5]}),
+        ("sanov_f3", {"field_size": 3.0, "gl_bound": 81.0}, {"char": 3.0}),
+        ("sanov_f3", {}, {"char": 3.0}),
+        ("sanov", {"word_length": True}, {}),
+        ("sanov_f3", {}, {"modulus": [0.0, 1]}),
+        ("sanov_f3", {}, {"images": [1]}),
+        ("sanov", {}, {"images": [[1]]}),
+    ],
+    ids=[
+        "list-letter", "dict-letter", "float-image", "float-char-and-sizes", "float-char",
+        "bool-length", "float-modulus", "int-image-over-extension", "list-image-over-prime-field",
+    ],
+)
+def test_verify_refuses_badly_typed_fields(tmp_path, capsys, spec, fields, hom_fields):
+    data = _witness_data(capsys, spec, "a b")
+    data.update(fields)
+    data["hom"].update(hom_fields)
+    record = _refused(*_verify_data(tmp_path, capsys, spec, data))
+    assert record["error"] == "SpecFileError"
+    assert record["message"].startswith("malformed witness file: ")
+
+
+def test_verify_refuses_unknown_letter(tmp_path, capsys):
+    data = _witness_data(capsys, "sanov", "a b")
+    data["word"] = ["a", "c"]
+    assert _verify_data(tmp_path, capsys, "sanov", data) == (1, "unknown-letter\n", "")
+
+
+def test_witness_refuses_bad_word_token(capsys):
+    record = _refused(*run(capsys, "witness", "sanov", "--word", "a^"))
+    assert record == {"error": "ValueError", "message": "bad word token 'a^'"}
+
+
+def test_threshold_missing_csv(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    record = _refused(*run(capsys, "threshold", str(missing)))
+    assert record["error"] == "FinquotError"
+    assert record["message"].startswith(f"cannot read {missing}: ")

@@ -3,10 +3,11 @@ from __future__ import annotations
 import math
 
 import pytest
+import sympy
 
 from finquot.algebra import dz, is_prime, next_prime
 from finquot.errors import BudgetExceeded, NotFoundWithinBudget
-from finquot.groups import ball_enumerate
+from finquot.groups import ball_enumerate, sanov_group
 from finquot.profiler import (
     ReductionBudget,
     ReductionScanner,
@@ -21,9 +22,8 @@ from finquot.profiler import (
     threshold_check,
     word_growth,
 )
-from finquot.profiler import _golden_roots_within, _quotient_floor
+from finquot.profiler import _opposite_unipotent_param, _quotient_floor
 from finquot.serialize import spec_from_data
-from finquot.unipoly import UniPoly, enumerate_irreducibles
 from finquot.witness import FieldHom, image_order
 
 
@@ -134,29 +134,54 @@ def test_quotient_floor_single_constant_generator(rows, floor):
     assert _quotient_floor(spec, ReductionBudget()) == floor
 
 
-def test_golden_roots_within_matches_factor_degrees():
-    # X^4 + 3X^2 + 1 is the minimal polynomial family of the golden traces
-    for p in (3, 5, 7, 11, 13):
-        quartic = UniPoly(p, (1, 0, 3, 0, 1))
-        degrees = []
-        rem = quartic
-        for ell in range(1, 5):
-            if rem.degree <= 0:
-                break
-            for cand in enumerate_irreducibles(p, ell):
-                while (rem % cand).is_zero():
-                    degrees.append(ell)
-                    rem = rem.divmod(cand)[0]
-        assert rem.degree == 0
-        for max_degree in range(1, 5):
-            assert _golden_roots_within(p, max_degree) == (max(degrees) <= max_degree)
+def test_golden_quartic_splits_into_quadratics_over_odd_primes():
+    # the icosahedral parameters are roots of X^4 + 3X^2 + 1; no factor of
+    # degree above 2 means they all lie inside any budget with max_degree >= 2
+    x = sympy.symbols("x")
+    for p in sympy.primerange(3, 1000):
+        _, factors = sympy.Poly(x**4 + 3 * x**2 + 1, x, modulus=p).factor_list()
+        assert max(f.degree() for f, _ in factors) <= 2, p
 
 
-def test_golden_roots_spot_values():
-    assert not _golden_roots_within(3, 1)
-    assert _golden_roots_within(3, 2)  # X^4+1 = (X^2+X+2)(X^2+2X+2) over F_3
-    assert _golden_roots_within(5, 1)  # (X-1)^2 (X+1)^2 over F_5
-    assert _golden_roots_within(7, 4)
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("max_degree", [2, 3, 4, 5])
+def test_quotient_floor_opposite_pair_is_sl2_order(p, max_degree):
+    m = (max_degree + 2) // 2
+    floor = _quotient_floor(sanov_group(p), ReductionBudget(max_degree=max_degree))
+    assert floor == p**m * (p ** (2 * m) - 1)
+
+
+def _pair_spec(char, a, b):
+    spec, _ = spec_from_data({"characteristic": char, "variables": ["t"], "generators": {"a": a, "b": b}})
+    return spec
+
+
+def test_quotient_floor_is_two_outside_the_odd_f_equals_t_case():
+    assert _quotient_floor(sanov_group(2), ReductionBudget()) == 2
+    squared = _pair_spec(3, [["1", "t^2"], ["0", "1"]], [["1", "0"], ["t^2", "1"]])
+    assert _quotient_floor(squared, ReductionBudget()) == 2
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([["2", "t"], ["0", "1"]], [["1", "0"], ["t", "1"]]),  # a diagonal entry is not 1
+        ([["1", "t"], ["t", "1"]], [["1", "0"], ["t", "1"]]),  # both corners nonzero
+        ([["1", "t"], ["0", "1"]], [["1", "t"], ["0", "1"]]),  # both generators upper
+        ([["1", "t"], ["0", "1"]], [["1", "0"], ["t+1", "1"]]),  # different f
+    ],
+)
+def test_opposite_unipotent_param_refuses(a, b):
+    spec = _pair_spec(5, a, b)
+    assert _opposite_unipotent_param([spec.generators[l] for l in spec.base_labels]) is None
+    assert _quotient_floor(spec, ReductionBudget()) == 2
+
+
+def test_profile_of_a_finite_group_stops_growing():
+    # a rotation of order 4: the ball stops at {a, a^-1, a^2}
+    rotation = {"characteristic": 0, "variables": [], "generators": {"a": [["0", "-1"], ["1", "0"]]}}
+    profile = farb_profile(spec_from_data(rotation)[0], 4)
+    assert [r.ball_size for r in profile.rows] == [2, 3, 3, 3]
 
 
 def test_profile_cyclic_matches_farb_z(cyclic):
@@ -264,26 +289,6 @@ def test_profile_sandwich_violation_raises(cyclic, monkeypatch):
     monkeypatch.setattr(profiler.ReductionScanner, "min_order", lambda self, word: (10**9, True))
     with pytest.raises(FinquotError, match="reduction sandwich violated"):
         farb_profile(cyclic, 2)
-
-
-def test_scanner_cache_drops_collected_specs():
-    import gc
-    import weakref
-
-    from finquot import profiler
-    from finquot.groups import sanov_group
-
-    gc.collect()
-    before = len(profiler._SCANNERS)
-    refs = []
-    for _ in range(3):
-        spec = sanov_group(3)
-        profiler.reduction_scanner(spec, ReductionBudget(max_degree=2))
-        refs.append(weakref.ref(spec))
-        del spec
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-    assert len(profiler._SCANNERS) == before
 
 
 def test_scanner_orders_when_homs_share_generator_images():

@@ -1,7 +1,8 @@
 """Conventions that live in one place: only groups.py knows the inverse-label
 suffix, only image_order builds a stabilizer chain, only FieldHom.generator_images
-maps a spec's generators through a hom, and only ReductionBudget's fields
-name the budgets."""
+maps a spec's generators through a hom, only ReductionBudget's fields
+name the budgets, and the only process-wide state is two caches of pure
+field data."""
 
 from __future__ import annotations
 
@@ -14,6 +15,15 @@ from finquot.profiler import ReductionBudget
 
 # callee name -> the one function allowed to call it
 _SOLE_CALLERS = {"stabilizer_chain_order": "image_order", "apply_matrix": "generator_images"}
+
+# the only process-wide state allowed: caches of pure field data, which hold
+# no result of a scan or a search
+_PURE_DATA_CACHES = {"fields.py:finite_field", "algebra.py:_KNOWN_PRIMES"}
+_CACHE_DECORATORS = {"lru_cache", "cache"}
+_MUTATORS = {"add", "setdefault", "update", "append", "extend", "insert"}
+_CONTAINER_CALLS = {
+    "dict", "set", "list", "defaultdict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary", "WeakSet",
+}
 
 
 def _modules():
@@ -72,3 +82,55 @@ def test_budget_names_only_as_reduction_budget_fields():
         if isinstance(node, ast.Constant) and node.value in names
     ]
     assert found == []
+
+
+def _name(node):
+    """The bare name of a Name, an Attribute or a Call of either."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _module_containers(tree):
+    """Names bound at module level to a dict, set or list."""
+    literals = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, literals) or (isinstance(value, ast.Call) and _name(value) in _CONTAINER_CALLS):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _process_wide_state(name, tree):
+    """module:name for every weakref import, functools cache decorator, and
+    module-level container that a function mutates."""
+    found = set()
+    containers = _module_containers(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "weakref" for a in node.names):
+            found.add(f"{name}:weakref")
+        if isinstance(node, ast.ImportFrom) and node.module == "weakref":
+            found.add(f"{name}:weakref")
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(_name(d) in _CACHE_DECORATORS for d in node.decorator_list):
+            found.add(f"{name}:{node.name}")
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute):
+                target, mutates = inner.func.value, inner.func.attr in _MUTATORS
+            elif isinstance(inner, ast.Subscript) and isinstance(inner.ctx, (ast.Store, ast.Del)):
+                target, mutates = inner.value, True
+            else:
+                continue
+            if mutates and isinstance(target, ast.Name) and target.id in containers:
+                found.add(f"{name}:{target.id}")
+    return found
+
+
+def test_process_wide_state_is_pure_field_data():
+    # a cache that outlives one call makes every later benchmark pass cheaper
+    found = set().union(*(_process_wide_state(name, tree) for name, tree in _modules()))
+    assert found == _PURE_DATA_CACHES
