@@ -18,8 +18,8 @@ x2 = MultiPoly.variable(0, 2, 1)
 f = x1 * x2 - MultiPoly.const(0, 2, 1)
 print(f"f = {f.render(['x1', 'x2'])}  (char 0)")
 
-choice = substitution_exponents(f)
-print(f"  power substitution x_i -> x^n_i with n = {choice.exponents} ({choice.method})")
+exponents = substitution_exponents(f)
+print(f"  power substitution x_i -> x^n_i with n = {exponents} (recursion)")
 
 hom = charzero_witness(f)
 print(f"  witness: {hom.describe()}, evaluation point ell = {hom.ell}")
@@ -31,7 +31,7 @@ hom2 = charzero_witness(f, excluded)
 print(f"  excluding p = {hom.char}: next witness lands in {hom2.describe()}")
 
 # the a-priori cap on the prime: product of admissible primes must beat the value bound
-g = f.substitute_sparse(choice.exponents)
+g = f.substitute_sparse(exponents)
 bound = (max(g) + 1) * hom.ell ** max(g) * max(abs(c) for c in g.values())
 print(f"  chain bound: p <= {chain_prime_bound(bound)} (value bound {bound})")
 

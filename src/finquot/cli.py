@@ -166,8 +166,8 @@ def _cmd_selftest(args) -> int:
         f = _random_poly(rng, rng.choice((0, 2, 3, 5)))
         if f.is_zero():
             continue
-        choice = substitution_exponents(f)
-        _require(bool(f.substitute_sparse(choice.exponents)), "substitution keeps a polynomial nonzero")
+        exponents = substitution_exponents(f)
+        _require(bool(f.substitute_sparse(exponents)), "substitution keeps a polynomial nonzero")
         checks += 1
 
     sv = sanov_group()

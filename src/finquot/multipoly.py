@@ -7,20 +7,27 @@ such that f(x^(n_1), ..., x^(n_s)) is a nonzero univariate polynomial.
 
 The choice follows a degree recursion: factor f = (h0 + x1*h1) * x1^k with h0
 free of x1 and nonzero.  If k > 0, recurse on the smaller-degree cofactor.
-Otherwise recurse on h0 in the remaining variables and set n1 = d^(2s); either
-the h1 part vanishes under the substitution, or its degree (at least d^(2s))
-strictly exceeds that of the h0 part (at most d^(2s-1)), so the sum survives.
-The strictness fails when d = 1, so the result is always verified and a
-Kronecker radix fallback (n_i = (D+1)^(i-1), D = max per-variable degree,
-injective on monomials) covers the gap.
+Otherwise recurse on h0 in the remaining variables and set n1 = d^(2s).  The
+recursion is total:
+
+- d >= 2: every x1*h1 term lands in degree at least d^(2s), strictly above
+  the h0 part's at most d * d^(2s-2) = d^(2s-1), so the h0 part, nonzero by
+  induction, survives.
+- d = 1: f is linear, and the image a + b*x has a != 0.  Each level gives its
+  variable n = 1 and passes the rest on, until what is left is a nonzero
+  constant c (a = c), a single term c*x_j (the k > 0 shift: n_j = 0, a = c),
+  or c0 + c*x_j at s = 1, where n_j = 0 if c0 + c != 0 (a = c0 + c) and
+  n_j = 1 otherwise (then c0 = -c != 0 and a = c0).
+
+Every exponent is at most d^(2s), so the bound holds by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebra import check_prime
+from .errors import FinquotError
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -120,9 +127,6 @@ class MultiPoly:
         """Max term degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def var_degree(self, i: int) -> int:
-        return max((e[i] for e in self.terms), default=-1)
-
     def max_abs_coeff(self) -> int:
         return max((abs(c) for c in self.terms.values()), default=0)
 
@@ -204,37 +208,14 @@ class MultiPoly:
         return f"MultiPoly({self.char}, {self.render()})"
 
 
-@dataclass(frozen=True)
-class ExponentChoice:
-    """Chosen substitution exponents plus how they were found.
-
-    method is "recursion" (the degree recursion above) or "kronecker" (radix
-    fallback).  bound_respected records whether every exponent lies within
-    {0, ..., d^(2s)} for d the total degree, independent of method.
-    """
-
-    exponents: tuple[int, ...]
-    bound_respected: bool
-    method: str
-
-
-def substitution_exponents(f: MultiPoly) -> ExponentChoice:
-    """Exponents making substitute_sparse(f) nonzero; verified before return."""
+def substitution_exponents(f: MultiPoly) -> tuple[int, ...]:
+    """Exponents n_i <= d^(2s) making substitute_sparse(f) nonzero."""
     if f.is_zero():
         raise ValueError("zero polynomial has no nonzero substitution")
     exps = tuple(_recursion_exponents(f))
-    if f.substitute_sparse(exps):
-        return ExponentChoice(exps, _within_bound(f, exps), "recursion")
-    exps = _kronecker_exponents(f)
     if not f.substitute_sparse(exps):
-        # The radix map is injective on monomials, so this cannot happen.
-        raise AssertionError("kronecker fallback produced a zero substitution")
-    return ExponentChoice(exps, _within_bound(f, exps), "kronecker")
-
-
-def _within_bound(f: MultiPoly, exps: tuple[int, ...]) -> bool:
-    bound = f.total_degree() ** (2 * f.nvars)
-    return all(n <= bound for n in exps)
+        raise FinquotError("degree recursion produced a zero substitution")
+    return exps
 
 
 def _recursion_exponents(f: MultiPoly) -> list[int]:
@@ -252,11 +233,6 @@ def _recursion_exponents(f: MultiPoly) -> list[int]:
         return _recursion_exponents(shifted)
     h0 = MultiPoly(f.char, s - 1, {e[1:]: c for e, c in f.terms.items() if e[0] == 0})
     return [d ** (2 * s), *_recursion_exponents(h0)]
-
-
-def _kronecker_exponents(f: MultiPoly) -> tuple[int, ...]:
-    radix = max(f.var_degree(i) for i in range(f.nvars)) + 1 if f.nvars else 1
-    return tuple(radix**i for i in range(f.nvars))
 
 
 # Exact gcd and division, recursive in the last variable (primitive PRS).

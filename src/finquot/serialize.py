@@ -177,17 +177,21 @@ def _has_shape(value, shape) -> bool:
 
 
 def _hom_from_data(data) -> FieldHom:
-    """Checks the field (prime char, monic irreducible modulus) and brings the
-    images to canonical form."""
+    """Checks the field (prime char, monic irreducible modulus) and the shape of
+    exponents and ell, and brings the images to canonical form."""
     char, modulus, images = data["char"], data["modulus"], data["images"]
+    exponents, ell = data["exponents"], data["ell"]
     image = int if modulus is None else [int]
     if not (_has_shape(char, int) and _has_shape(images, [image])
             and (modulus is None or _has_shape(modulus, [int]))):
         raise TypeError("hom needs an int char, a null or int-list modulus, and int or int-list images")
+    if not (_has_shape(exponents, [int]) and len(exponents) == len(images) and min(exponents, default=0) >= 0
+            and _has_shape(ell, int) and ell > 0):
+        raise TypeError("hom needs one non-negative int exponent per image and a positive int ell")
     modulus = None if modulus is None else UniPoly(char, tuple(modulus))
     field = finite_field(char, modulus)
     images = tuple(field.encode(v) for v in images)
-    return FieldHom(char, modulus, images, tuple(data["exponents"]), data["ell"])
+    return FieldHom(char, modulus, images, tuple(exponents), ell)
 
 
 def witness_to_data(record: WitnessRecord, spec_fp: str) -> dict:

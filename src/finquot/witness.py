@@ -105,8 +105,8 @@ def charzero_witness(f: MultiPoly, excluded: frozenset[int] = frozenset()) -> Fi
         raise ValueError("characteristic-0 input required")
     if f.is_zero():
         raise ValueError("zero polynomial has no witness")
-    choice = substitution_exponents(f)
-    g = f.substitute_sparse(choice.exponents)
+    exponents = substitution_exponents(f)
+    g = f.substitute_sparse(exponents)
     r = max(g)
     big_a = max(abs(c) for c in g.values())
     ell, value = 0, 0
@@ -120,8 +120,8 @@ def charzero_witness(f: MultiPoly, excluded: frozenset[int] = frozenset()) -> Fi
     if abs(value) > (r + 1) * ell**r * big_a:
         raise FinquotError("evaluation bound violated")
     p = smallest_prime_not_dividing(value, excluded)
-    images = tuple(pow(ell, n, p) for n in choice.exponents)
-    hom = FieldHom(char=p, modulus=None, images=images, exponents=choice.exponents, ell=ell)
+    images = tuple(pow(ell, n, p) for n in exponents)
+    hom = FieldHom(char=p, modulus=None, images=images, exponents=exponents, ell=ell)
     if hom.apply(f) == 0:
         raise FinquotError("witness construction failed to preserve f")
     return hom
@@ -140,8 +140,8 @@ def charp_witness(f: MultiPoly) -> FieldHom:
         raise ValueError("positive characteristic input required")
     if f.is_zero():
         raise ValueError("zero polynomial has no witness")
-    choice = substitution_exponents(f)
-    g = f.substitute_sparse(choice.exponents)
+    exponents = substitution_exponents(f)
+    g = f.substitute_sparse(exponents)
     deg_g = max(g)
     modulus = None
     ell = 0
@@ -155,8 +155,8 @@ def charp_witness(f: MultiPoly) -> FieldHom:
                 break
     field = finite_field(p, modulus)
     x = field.encode((0, 1))
-    images = tuple(field.pow(x, n) for n in choice.exponents)
-    hom = FieldHom(char=p, modulus=modulus, images=images, exponents=choice.exponents, ell=ell)
+    images = tuple(field.pow(x, n) for n in exponents)
+    hom = FieldHom(char=p, modulus=modulus, images=images, exponents=exponents, ell=ell)
     if hom.apply(f) == 0:
         raise FinquotError("witness construction failed to preserve f")
     return hom
@@ -231,12 +231,13 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     spec's characteristic (a characteristic-0 spec maps into any finite
     field), field-size consistency, that the entry is a cell of the matrix,
     that the record claims verified, that phi, which every generator
-    denominator divides, stays a unit, that each generator's image times its
-    inverse's image is the identity, that the word's image differs from the
-    identity, spot multiplicativity on word prefixes, and the image-order
-    claim: none, the GL bound as inexact, or an exact order that image_order
-    reproduces with the claimed order as its budget, so the recomputation
-    costs no more than the claim.
+    denominator divides, stays a unit, that the images are ell^(n_i) mod p
+    (prime field) or x^(n_i) mod h with ell = deg h (extension field), that
+    each generator's image times its inverse's image is the identity, that
+    the word's image W differs from the identity at the claimed entry, and
+    the image-order claim: none, the GL bound as inexact, or an exact order
+    that image_order reproduces with the claimed order as its budget, so the
+    recomputation costs no more than the claim.
     """
     hom = record.hom
     m = spec.size
@@ -258,6 +259,14 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     if hom.apply(spec.phi) == 0:
         return False, "denominator-killed"
     field = hom.field
+    ell, exps = hom.ell, hom.exponents
+    base = ell if hom.modulus is None else field.encode((0, 1))
+    if not (
+        type(ell) is int and ell > 0 and all(type(n) is int and n >= 0 for n in exps)
+        and (hom.modulus is None or ell == hom.modulus.degree)
+        and tuple(field.pow(base, n) for n in exps) == hom.images
+    ):
+        return False, "hom-derivation-mismatch"
     ims = hom.generator_images(spec)
     mul, ident = field.product(m), field.identity(m)
     # image(g) * image(g^-1) = I makes both images invertible
@@ -269,18 +278,14 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         return False, "length-mismatch"
     if any(l not in ims for l in letters):
         return False, "unknown-letter"
-    n = len(letters)
-    cuts = sorted({c for c in (1, n // 2, n - 1) if 0 < c < n})
-    prefixes = {}
-    prod, done = ident, 0
-    for cut in (*cuts, n):
-        prod = word_image(letters[done:cut], ims, field, m, start=prod)
-        prefixes[cut], done = prod, cut
+    prod = word_image(letters, ims, field, m)
     if prod == ident:
         return False, "word-collapses"
-    for cut in cuts:
-        if mul(prefixes[cut], word_image(letters[cut:], ims, field, m)) != prod:
-            return False, "multiplicativity"
+    # hom maps the cell of phi^|w| * (w - I) to hom(phi)^|w| * (W - I)[entry],
+    # and hom(phi) != 0, so the claimed cell survives iff W moves that entry
+    cell = entry[0] * m + entry[1]
+    if prod[cell] == ident[cell]:
+        return False, "entry-unmoved"
     order, exact = record.image_order, record.image_order_exact
     if exact is False:
         if order != record.gl_bound:
@@ -304,10 +309,10 @@ def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> t
     return order, True
 
 
-def word_image(letters, images, field: Field, m: int, start=None) -> tuple[int, ...]:
-    """start (the identity by default) times the images of the letters, left to right."""
+def word_image(letters, images, field: Field, m: int) -> tuple[int, ...]:
+    """The product of the images of the letters, left to right."""
     mul = field.product(m)
-    prod = field.identity(m) if start is None else start
+    prod = field.identity(m)
     for letter in letters:
         prod = mul(prod, images[letter])
     return prod

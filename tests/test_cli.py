@@ -440,10 +440,17 @@ def test_verify_unreadable_witness_file(tmp_path, capsys):
         ("sanov_f3", {}, {"modulus": [0.0, 1]}),
         ("sanov_f3", {}, {"images": [1]}),
         ("sanov", {}, {"images": [[1]]}),
+        ("sanov", {}, {"ell": "zz"}),
+        ("sanov", {}, {"ell": 0}),
+        ("sanov", {}, {"ell": True}),
+        ("sanov", {}, {"exponents": [-5]}),
+        ("sanov", {}, {"exponents": [1.0]}),
+        ("sanov", {}, {"exponents": [0, 0]}),
     ],
     ids=[
         "list-letter", "dict-letter", "float-image", "float-char-and-sizes", "float-char",
         "bool-length", "float-modulus", "int-image-over-extension", "list-image-over-prime-field",
+        "string-ell", "zero-ell", "bool-ell", "negative-exponent", "float-exponent", "extra-exponent",
     ],
 )
 def test_verify_refuses_badly_typed_fields(tmp_path, capsys, spec, fields, hom_fields):

@@ -5,7 +5,11 @@ import random
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from finquot import multipoly
+from finquot.errors import FinquotError
 from finquot.fields import finite_field
 from finquot.multipoly import MultiPoly, mp_divexact, mp_gcd, substitution_exponents
 from finquot.unipoly import UniPoly
@@ -62,8 +66,6 @@ def test_total_degree():
     assert const(5).total_degree() == 0
     f = MultiPoly(0, 2, {(2, 1): 1, (1, 0): 1})
     assert f.total_degree() == 3
-    assert f.var_degree(0) == 2
-    assert f.var_degree(1) == 1
 
 
 def test_evaluate():
@@ -137,11 +139,8 @@ def test_substitution_is_ring_hom():
 
 
 def test_exponent_choice_for_constants():
-    choice = substitution_exponents(const(5))
-    assert choice.exponents == (0, 0)
-    assert choice.method == "recursion"
-    empty = substitution_exponents(MultiPoly.const(3, 0, 2))
-    assert empty.exponents == ()
+    assert substitution_exponents(const(5)) == (0, 0)
+    assert substitution_exponents(MultiPoly.const(3, 0, 2)) == ()
 
 
 def test_exponent_choice_rejects_zero():
@@ -150,17 +149,21 @@ def test_exponent_choice_rejects_zero():
 
 
 def test_exponent_choice_difference_of_variables():
-    choice = substitution_exponents(var(0) - var(1))
-    n1, n2 = choice.exponents
+    n1, n2 = substitution_exponents(var(0) - var(1))
     assert n1 != n2
-    assert (var(0) - var(1)).substitute_sparse(choice.exponents)
+    assert (var(0) - var(1)).substitute_sparse((n1, n2))
 
 
 def test_exponent_choice_bound_example():
     f = var(0) * var(1) - const(1)  # degree 2, s = 2, bound 2^4 = 16
-    choice = substitution_exponents(f)
-    assert all(0 <= n <= 16 for n in choice.exponents)
-    assert choice.bound_respected
+    assert all(0 <= n <= 16 for n in substitution_exponents(f))
+
+
+def _assert_recursion_holds(f):
+    exps = substitution_exponents(f)
+    assert f.substitute_sparse(exps), f
+    bound = max(f.total_degree(), 1) ** (2 * f.nvars)
+    assert all(0 <= n <= bound for n in exps), (f, exps)
 
 
 def test_exponent_choice_seeded_sweep():
@@ -168,27 +171,50 @@ def test_exponent_choice_seeded_sweep():
     for _ in range(200):
         char = rng.choice((0, 0, 2, 3))
         s = rng.randrange(1, 4)
-        f = random_poly(rng, char, s, max_terms=6, max_exp=5)
-        choice = substitution_exponents(f)
-        assert f.substitute_sparse(choice.exponents)
-        if choice.method == "recursion":
-            d = f.total_degree()
-            assert all(n <= max(d, 1) ** (2 * s) for n in choice.exponents)
-            assert choice.bound_respected
+        _assert_recursion_holds(random_poly(rng, char, s, max_terms=6, max_exp=5))
 
 
-def test_kronecker_fallback_is_injective_on_monomials():
-    from finquot.multipoly import _kronecker_exponents
+@pytest.mark.parametrize("char", [0, 2, 3, 5])
+def test_exponent_choice_every_linear_polynomial(char):
+    # d = 1 is where the degree argument is not strict; the recursion still
+    # keeps a nonzero constant coefficient (see the multipoly docstring)
+    for s in (1, 2, 3):
+        for coeffs in itertools.product(range(-2, 3), repeat=s + 1):
+            terms = {(0,) * s: coeffs[0]}
+            for i, c in enumerate(coeffs[1:]):
+                terms[tuple(int(j == i) for j in range(s))] = c
+            f = MultiPoly(char, s, terms)
+            if not f.is_zero():
+                _assert_recursion_holds(f)
 
-    rng = random.Random(37)
-    for _ in range(80):
-        f = random_poly(rng, rng.choice((0, 2, 3)), rng.randrange(1, 4))
-        exps = _kronecker_exponents(f)
-        sub = f.substitute_sparse(exps)
-        assert sub
-        # the radix map keeps every monomial in its own degree slot
-        assert len(sub) == len(f.terms)
-        assert sorted(sub.values()) == sorted(f.terms.values())
+
+@st.composite
+def _small_polys(draw):
+    """Nonzero f in 1..4 variables of total degree at most 4 over Q, F_2, F_3 or F_5."""
+    char = draw(st.sampled_from((0, 2, 3, 5)))
+    s = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        left, exps = 4, []
+        for _ in range(s):
+            exps.append(draw(st.integers(0, left)))
+            left -= exps[-1]
+        terms[tuple(exps)] = draw(st.integers(-9, 9))
+    f = MultiPoly(char, s, terms)
+    assume(not f.is_zero())
+    return f
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_small_polys())
+def test_exponent_choice_property(f):
+    _assert_recursion_holds(f)
+
+
+def test_exponent_choice_refuses_a_zero_substitution(monkeypatch):
+    monkeypatch.setattr(multipoly, "_recursion_exponents", lambda f: [0] * f.nvars)
+    with pytest.raises(FinquotError, match="zero substitution"):
+        substitution_exponents(var(0) - var(1))
 
 
 def test_mp_gcd_and_divexact():

@@ -209,8 +209,30 @@ def test_verify_refuses_forged_entry_and_verified_flag(sanov):
     assert verify_witness(sanov, rec) == (True, "ok")
     for entry in [(5, 5), (0, 2), (-1, 0), (0,), (0, 0, 0), (True, 0), (0.0, 1), [0, 1], ("0", "1")]:
         assert verify_witness(sanov, dataclasses.replace(rec, entry=entry)) == (False, "entry-out-of-range")
+    # the word's image has a 1 at (0, 0), so that cell does not survive the hom
+    assert verify_witness(sanov, dataclasses.replace(rec, entry=(0, 0))) == (False, "entry-unmoved")
     for verified in (False, None, 1, "true"):
         assert verify_witness(sanov, dataclasses.replace(rec, verified=verified)) == (False, "not-verified")
+
+
+def test_verify_refuses_images_not_derived_from_exponents_and_ell(sanov, sanov3):
+    for spec in (sanov, sanov3):
+        rec = separate(spec, spec.word("a b a^-1 b^-1"))
+        hom = rec.hom
+        moved = tuple(hom.field.add(v, 1) for v in hom.images)
+        for bad in (
+            dataclasses.replace(hom, images=moved),
+            dataclasses.replace(hom, ell=None),
+            dataclasses.replace(hom, ell=0),
+            dataclasses.replace(hom, exponents=(-1,)),
+            dataclasses.replace(hom, exponents=hom.exponents * 2),
+        ):
+            assert verify_witness(spec, dataclasses.replace(rec, hom=bad)) == (False, "hom-derivation-mismatch")
+    # over an extension field, ell must be the modulus degree
+    f9 = finite_field(3, UniPoly(3, (1, 0, 1)))
+    hom = FieldHom(3, f9.modulus, (f9.encode((0, 1)),), (1,), ell=1)
+    rec = dataclasses.replace(separate(sanov, sanov.word("a b")), hom=hom, field_size=9, gl_bound=9**4)
+    assert verify_witness(sanov, rec) == (False, "hom-derivation-mismatch")
 
 
 def test_verify_refuses_forged_image_orders(sanov):
@@ -257,7 +279,7 @@ def test_verify_rejects_hom_of_other_characteristic(sanov3):
 def test_verify_accepts_any_field_for_characteristic_zero(sanov):
     # Z[t] maps into every finite field, so t -> x in F_9 is a true certificate
     f9 = finite_field(3, UniPoly(3, (1, 0, 1)))
-    hom = FieldHom(3, f9.modulus, (f9.encode((0, 1)),), (1,))
+    hom = FieldHom(3, f9.modulus, (f9.encode((0, 1)),), (1,), ell=2)
     rec = separate(sanov, sanov.word("a b"))
     cert = dataclasses.replace(rec, hom=hom, field_size=9, gl_bound=9**4)
     assert verify_witness(sanov, cert) == (True, "ok")
@@ -348,7 +370,7 @@ def test_separated_records_round_trip_verification(sanov, sanov3):
             done += 1
 
 
-def _word_image_to_identity(letters, images, field, m, start=None):
+def _word_image_to_identity(letters, images, field, m):
     return field.identity(m)
 
 
@@ -375,7 +397,7 @@ from finquot.multipoly import MultiPoly
 
 raised = []
 real_word_image = witness.word_image
-witness.word_image = lambda letters, images, field, m, start=None: field.identity(m)
+witness.word_image = lambda letters, images, field, m: field.identity(m)
 spec = sanov_group(0)
 try:
     witness.separate(spec, spec.word("a b"))
