@@ -1,4 +1,5 @@
-"""Integer number theory: deterministic primality, Mobius, and divisibility minima.
+"""Integer number theory (deterministic primality, Mobius, divisibility minima)
+and the one square-and-multiply loop, `power`, that every ring here uses.
 
 Everything here is exact and deterministic.  Primality uses trial division for
 small inputs and a fixed-base strong-pseudoprime test whose witness set is
@@ -56,6 +57,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power(x, e: int, mul, one):
+    """x**e by square and multiply, for any associative product mul with
+    identity one; a negative e raises ValueError("negative power")."""
+    if e < 0:
+        raise ValueError("negative power")
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc
 
 
 _KNOWN_PRIMES: set[int] = set()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import check_prime
+from .algebra import check_prime, power
 from .unipoly import UniPoly, is_irreducible
 
 
@@ -97,16 +97,10 @@ class Field:
         return tuple(out)
 
     def pow(self, v: int, e: int) -> int:
-        """v**e for e >= 0."""
-        if self.modulus is None:
+        """v**e for e >= 0; a negative e raises ValueError."""
+        if self.modulus is None and e >= 0:
             return pow(v, e, self.p)
-        acc = 1
-        while e:
-            if e & 1:
-                acc = self.mul(acc, v)
-            v = self.mul(v, v)
-            e >>= 1
-        return acc
+        return power(v, e, self.mul, 1)
 
     def inv(self, v: int) -> int:
         if v == 0:

@@ -71,6 +71,12 @@ def parse_word(text: str, alphabet) -> Word:
     return Word(tuple(letters))
 
 
+def check_characteristic(char) -> None:
+    """Raise ValueError unless char is an int (not a bool) that is 0 or a prime."""
+    if type(char) is not int or (char != 0 and not is_prime(char)):
+        raise ValueError("characteristic must be 0 or a prime")
+
+
 def compute_phi(matrices, char: int, nvars: int) -> tuple[MultiPoly, frozenset[int]]:
     """Least common multiple of all entry denominators, plus the primes it inverts.
 
@@ -106,8 +112,7 @@ class GroupSpec:
     __slots__ = ("char", "variables", "size", "generators", "base_labels", "phi", "excluded_primes")
 
     def __init__(self, char: int, variables: tuple[str, ...], generators: dict[str, FieldMatrix]):
-        if char != 0 and not is_prime(char):
-            raise ValueError("characteristic must be 0 or a prime")
+        check_characteristic(char)
         if not generators:
             raise ValueError("at least one generator required")
         variables = tuple(variables)
@@ -121,10 +126,12 @@ class GroupSpec:
         for label, mat in sorted(generators.items()):
             if mat.char != char or mat.nvars != len(variables):
                 raise ValueError(f"generator {label!r} has wrong coefficient domain")
-            if mat.det().is_zero():
-                raise ValueError(f"generator {label!r} is singular")
+            try:
+                inverse = mat.inverse()
+            except ZeroDivisionError:
+                raise ValueError(f"generator {label!r} is singular") from None
             alphabet[label] = mat
-            alphabet[inverse_label(label)] = mat.inverse()
+            alphabet[inverse_label(label)] = inverse
         self.char = char
         self.variables = variables
         self.size = sizes.pop()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import check_prime
+from .algebra import check_prime, power
 from .errors import FinquotError
 
 
@@ -109,16 +109,7 @@ class MultiPoly:
         return MultiPoly(self.char, self.nvars, terms)
 
     def __pow__(self, e: int) -> "MultiPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        acc = MultiPoly.const(self.char, self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return power(self, e, MultiPoly.__mul__, MultiPoly.const(self.char, self.nvars, 1))
 
     def scale(self, c: int) -> "MultiPoly":
         return MultiPoly(self.char, self.nvars, {e: c * v for e, v in self.terms.items()})
@@ -274,10 +265,6 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _normalize_lead(f)
     f._check(g)
     char, s = f.char, f.nvars
-    if s == 0:
-        if char:
-            return MultiPoly.const(char, 0, 1)
-        return MultiPoly.const(char, 0, math.gcd(f.const_value(), g.const_value()))
     if f.is_const() or g.is_const():
         if char:
             return MultiPoly.const(char, s, 1)
@@ -333,18 +320,10 @@ def mp_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f
     f._check(g)
     char, s = f.char, f.nvars
-    if s == 0:
-        if char:
-            return MultiPoly.const(char, 0, f.const_value() * pow(g.const_value(), char - 2, char))
-        q, r = divmod(f.const_value(), g.const_value())
-        if r:
-            raise ValueError("inexact constant division")
-        return MultiPoly.const(char, 0, q)
     if g.is_const():
         c = g.const_value()
         if char:
-            inv = pow(c, char - 2, char)
-            return f.scale(inv)
+            return f.scale(pow(c, -1, char))
         terms = {}
         for e, v in f.terms.items():
             q, r = divmod(v, c)
@@ -372,18 +351,18 @@ def mp_divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _from_main(q, char, s)
 
 
-def _grlex_lead(f: MultiPoly) -> tuple[tuple[int, ...], int]:
-    e = max(f.terms, key=grlex_key)
-    return e, f.terms[e]
+def lead_unit(f: MultiPoly) -> int:
+    """The unit u whose multiple f.scale(u) is f's canonical associate: its
+    grlex lead coefficient is positive (char 0) or 1 (char p).  f is nonzero."""
+    lead = f.terms[max(f.terms, key=grlex_key)]
+    if f.char:
+        return pow(lead, -1, f.char)
+    return -1 if lead < 0 else 1
 
 
 def _normalize_lead(f: MultiPoly) -> MultiPoly:
-    """Canonical associate: positive grlex lead (char 0) or monic grlex lead (char p)."""
+    """Canonical associate of f (see lead_unit); zero stays zero."""
     if f.is_zero():
         return f
-    _, lead = _grlex_lead(f)
-    if f.char:
-        if lead == 1:
-            return f
-        return f.scale(pow(lead, f.char - 2, f.char))
-    return f.scale(-1) if lead < 0 else f
+    u = lead_unit(f)
+    return f if u == 1 else f.scale(u)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multipoly import MultiPoly, grlex_key, mp_divexact, mp_gcd
+from .multipoly import MultiPoly, lead_unit, mp_divexact, mp_gcd
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,9 @@ class RatFunc:
             if not g.is_const() or g.const_value() != 1:
                 num = mp_divexact(num, g)
                 den = mp_divexact(den, g)
-            lead = den.terms[max(den.terms, key=grlex_key)]
-            if num.char:
-                if lead != 1:
-                    inv = pow(lead, num.char - 2, num.char)
-                    num, den = num.scale(inv), den.scale(inv)
-            elif lead < 0:
-                num, den = num.scale(-1), den.scale(-1)
+            u = lead_unit(den)
+            if u != 1:
+                num, den = num.scale(u), den.scale(u)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -152,6 +148,12 @@ class FieldMatrix:
                     return False
         return True
 
+    def _minor(self, i: int, j: int) -> "FieldMatrix":
+        """The matrix with row i and column j deleted."""
+        return FieldMatrix(
+            tuple(tuple(v for c, v in enumerate(row) if c != j) for r, row in enumerate(self.rows) if r != i)
+        )
+
     def det(self) -> RatFunc:
         """Cofactor expansion; fine for the small matrix sizes used here."""
         m = self.size
@@ -162,10 +164,7 @@ class FieldMatrix:
             entry = self.rows[0][j]
             if entry.is_zero():
                 continue
-            minor = FieldMatrix(
-                tuple(tuple(row[k] for k in range(m) if k != j) for row in self.rows[1:])
-            )
-            term = entry * minor.det()
+            term = entry * self._minor(0, j).det()
             if j % 2:
                 term = -term
             acc = term if acc is None else acc + term
@@ -183,14 +182,7 @@ class FieldMatrix:
         for i in range(m):
             row = []
             for j in range(m):
-                minor = FieldMatrix(
-                    tuple(
-                        tuple(self.rows[r][c] for c in range(m) if c != j)
-                        for r in range(m)
-                        if r != i
-                    )
-                )
-                c = minor.det()
+                c = self._minor(i, j).det()
                 if (i + j) % 2:
                     c = -c
                 row.append(c)

@@ -12,10 +12,9 @@ import hashlib
 import json
 import os
 
-from .algebra import is_prime
 from .errors import EntryParseError, SpecFileError
 from .fields import finite_field
-from .groups import NAMED_GROUPS, GroupSpec, Word
+from .groups import NAMED_GROUPS, GroupSpec, Word, check_characteristic
 from .parsing import parse_entry
 from .profiler import FarbProfile, ProfileSamples, ReductionBudget, is_budget_value
 from .ratfunc import FieldMatrix
@@ -69,10 +68,10 @@ def spec_from_data(data) -> tuple[GroupSpec, dict]:
     unknown = set(data) - {"characteristic", "variables", "generators", "budgets"}
     _check(not unknown, f"unknown spec fields: {sorted(unknown)}")
     char = data.get("characteristic")
-    _check(
-        isinstance(char, int) and (char == 0 or is_prime(char)),
-        "characteristic must be 0 or a prime",
-    )
+    try:
+        check_characteristic(char)
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from exc
     variables = data.get("variables", [])
     _check(
         isinstance(variables, list) and all(isinstance(v, str) for v in variables),

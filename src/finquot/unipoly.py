@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import check_prime, factorize, is_prime, mobius
+from .algebra import check_prime, factorize, mobius, power
 from .errors import BudgetExceeded, FinquotError
 
 IRREDUCIBLE_ENUM_BUDGET = 1 << 20
@@ -91,15 +91,14 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if not self.coeffs:
             return self
-        inv = pow(self.coeffs[-1], self.char - 2, self.char)
-        return self.scale(inv)
+        return self.scale(pow(self.coeffs[-1], -1, self.char))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         self._check(other)
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         p = self.char
-        inv = pow(other.coeffs[-1], p - 2, p)
+        inv = pow(other.coeffs[-1], -1, p)
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
@@ -124,15 +123,8 @@ class UniPoly:
         return a.monic() if a.coeffs else a
 
     def powmod(self, e: int, mod: "UniPoly") -> "UniPoly":
-        """self**e mod `mod` over F_p by square and multiply."""
-        acc = UniPoly.const(self.char, 1)
-        base = self % mod
-        while e:
-            if e & 1:
-                acc = acc * base % mod
-            base = base * base % mod
-            e >>= 1
-        return acc
+        """self**e mod `mod` over F_p, for e >= 0."""
+        return power(self % mod, e, lambda a, b: a * b % mod, UniPoly.const(self.char, 1))
 
     def render(self, name: str = "x") -> str:
         """Human form, highest degree first, e.g. '2*x^3 + x + 1'."""
@@ -157,8 +149,7 @@ class UniPoly:
 
 def gauss_irreducible_count(p: int, ell: int) -> int:
     """Number of monic irreducibles of degree ell over F_p: (1/ell) * sum mu(d) p^(ell/d)."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    check_prime(p)
     if ell < 1:
         raise ValueError("degree must be >= 1")
     total = sum(mobius(d) * p ** (ell // d) for d in range(1, ell + 1) if ell % d == 0)
@@ -189,8 +180,7 @@ def enumerate_irreducibles(p: int, ell: int):
     the leading 1, so for (p, ell) = (3, 1) the sequence is x, x+1, x+2.
     Raises BudgetExceeded when p^ell exceeds IRREDUCIBLE_ENUM_BUDGET.
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    check_prime(p)
     if ell < 1:
         raise ValueError("degree must be >= 1")
     if p**ell > IRREDUCIBLE_ENUM_BUDGET:

@@ -12,9 +12,13 @@ from finquot.algebra import (
     is_prime,
     mobius,
     next_prime,
+    power,
     primes,
     smallest_prime_not_dividing,
 )
+from finquot.fields import finite_field
+from finquot.multipoly import MultiPoly
+from finquot.unipoly import UniPoly
 
 
 def test_is_prime_small_table():
@@ -143,3 +147,16 @@ def test_dz_at_lcm_points():
         assert dz(acc) > m
     assert dz(60) == 7
     assert dz(420) == 8
+
+
+def test_negative_powers_are_refused():
+    # the old extension-field loop never returned here: e >>= 1 keeps -1 at -1
+    with pytest.raises(ValueError, match="^negative power$"):
+        power(2, -1, lambda a, b: a * b % 7, 1)
+    for field in (finite_field(3, UniPoly(3, (1, 0, 1))), finite_field(7, None)):
+        with pytest.raises(ValueError, match="^negative power$"):
+            field.pow(2, -1)
+    with pytest.raises(ValueError, match="^negative power$"):
+        MultiPoly.variable(0, 1, 0) ** -1
+    with pytest.raises(ValueError, match="^negative power$"):
+        UniPoly(3, (0, 1)).powmod(-1, UniPoly(3, (1, 0, 1)))

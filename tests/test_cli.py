@@ -23,6 +23,8 @@ def test_dz_and_farb_z(capsys):
 
 def test_gauss_count(capsys):
     assert run(capsys, "gauss-count", "2", "4") == (0, "3\n", "")
+    code, out, err = run(capsys, "gauss-count", "4", "2")
+    assert (code, out, json.loads(err)) == (1, "", {"error": "ValueError", "message": "4 is not prime"})
 
 
 def test_domain_error_record(capsys):
@@ -130,6 +132,17 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "profile", "cyclic", "--radius", "3")
     assert code == 1
     assert json.loads(err)["error"]
+
+
+def test_spec_file_refuses_bool_characteristic(tmp_path, capsys):
+    # false once loaded as characteristic 0, with another fingerprint than sanov's
+    path = tmp_path / "sanov.json"
+    generators = {"a": [["1", "t"], ["0", "1"]], "b": [["1", "0"], ["t", "1"]]}
+    path.write_text(json.dumps({"characteristic": False, "variables": ["t"], "generators": generators}))
+    code, out, err = run(capsys, "witness", str(path), "--word", "a b")
+    assert (code, out) == (1, "")
+    record = json.loads(err)
+    assert (record["error"], record["message"]) == ("SpecFileError", "characteristic must be 0 or a prime")
 
 
 def test_spec_file_budgets_flow_through(tmp_path, capsys):

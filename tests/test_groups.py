@@ -7,6 +7,7 @@ import pytest
 from finquot.errors import BudgetExceeded
 from finquot.groups import (
     NAMED_GROUPS,
+    GroupSpec,
     ball_enumerate,
     compute_phi,
     growth_degree_bounds,
@@ -42,6 +43,23 @@ def test_generator_inverses_present(sanov, sanov3, cyclic, diagonal):
                 continue
             inv = spec.generators[label + "^-1"]
             assert (mat * inv).is_identity()
+        # each label is inserted just before its inverse
+        labels = list(spec.generators)
+        assert labels[1::2] == [label + "^-1" for label in labels[0::2]]
+
+
+@pytest.mark.parametrize("char", [4, 1, -3, False, True])
+def test_group_spec_refuses_bad_characteristic(char):
+    one = MultiPoly.const(0, 0, 1)
+    with pytest.raises(ValueError, match="^characteristic must be 0 or a prime$"):
+        GroupSpec(char, (), {"a": FieldMatrix(((RatFunc.of_poly(one),),))})
+
+
+def test_group_spec_refuses_singular_generator():
+    one, zero = (RatFunc.const(0, 0, c) for c in (1, 0))
+    generators = {"a": FieldMatrix(((one, one), (zero, one))), "b": FieldMatrix(((one, one), (zero, zero)))}
+    with pytest.raises(ValueError, match="^generator 'b' is singular$"):
+        GroupSpec(0, (), generators)
 
 
 def test_word_evaluate_sanov(sanov):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from finquot import multipoly
 from finquot.errors import FinquotError
 from finquot.fields import finite_field
-from finquot.multipoly import MultiPoly, mp_divexact, mp_gcd, substitution_exponents
+from finquot.multipoly import MultiPoly, grlex_key, lead_unit, mp_divexact, mp_gcd, substitution_exponents
 from finquot.unipoly import UniPoly
 
 
@@ -257,6 +258,43 @@ def test_mp_gcd_matches_sympy_up_to_unit():
                 assert ours.monic() == theirs.monic()
             else:
                 assert ours in (theirs, -theirs)
+
+
+def test_zero_variable_gcd_and_divexact():
+    # with no variables every polynomial is a constant, handled by the constant branches
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        assert mp_gcd(const(a, nvars=0), const(b, nvars=0)) == const(math.gcd(a, b), nvars=0)
+        if b:
+            q, r = divmod(a, b)
+            if r:
+                with pytest.raises(ValueError, match="^inexact .* division$"):
+                    mp_divexact(const(a, nvars=0), const(b, nvars=0))
+            else:
+                assert mp_divexact(const(a, nvars=0), const(b, nvars=0)) == const(q, nvars=0)
+
+    def five(c):
+        return const(c, char=5, nvars=0)
+
+    for a, b in itertools.product(range(5), repeat=2):
+        assert mp_gcd(five(a), five(b)) == five(1 if a or b else 0)
+        if b:
+            [q] = [q for q in range(5) if q * b % 5 == a]
+            assert mp_divexact(five(a), five(b)) == five(q)
+
+
+def test_lead_unit_gives_canonical_lead():
+    rng = random.Random(43)
+    for char in (0, 2, 3, 5):
+        for nvars in (1, 2, 3):
+            for _ in range(20):
+                f = random_poly(rng, char, nvars)
+                u = lead_unit(f)
+                g = f.scale(u)
+                lead = g.terms[max(g.terms, key=grlex_key)]
+                if char:
+                    assert lead == 1 and 0 < u < char
+                else:
+                    assert lead > 0 and u in (1, -1)
 
 
 def test_equality_and_hash_ignore_insertion_order():

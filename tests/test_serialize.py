@@ -73,8 +73,9 @@ def test_fingerprint_sensitive_to_content(sanov):
 def test_spec_from_data_validates():
     with pytest.raises(SpecFileError):
         spec_from_data({"variables": ["t"], "generators": {}})
-    with pytest.raises(SpecFileError):
-        spec_from_data({**SANOV_DATA, "characteristic": 4})
+    for char in (4, False, True):
+        with pytest.raises(SpecFileError, match="^characteristic must be 0 or a prime$"):
+            spec_from_data({**SANOV_DATA, "characteristic": char})
     bad = json.loads(json.dumps(SANOV_DATA))
     bad["generators"]["a"][0][1] = "q"
     with pytest.raises(SpecFileError):

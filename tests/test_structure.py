@@ -1,8 +1,9 @@
 """Conventions that live in one place: only groups.py knows the inverse-label
 suffix, only image_order builds a stabilizer chain, only FieldHom.generator_images
 maps a spec's generators through a hom, only ReductionBudget's fields
-name the budgets, and the only process-wide state is two caches of pure
-field data."""
+name the budgets, only algebra.power runs a square-and-multiply loop, a
+modular inverse is pow(c, -1, p) and never a Fermat power pow(c, p - 2, p),
+and the only process-wide state is two caches of pure field data."""
 
 from __future__ import annotations
 
@@ -33,22 +34,20 @@ def _modules():
     return [(path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in modules]
 
 
-def _calls(tree):
-    """(callee name, enclosing function name, line) for every call in the tree."""
-    out = []
-
-    def visit(node, func):
+def _nodes(tree):
+    """(node, enclosing function name) for every node in the tree."""
+    stack = [(tree, None)]
+    while stack:
+        node, func = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call):
-            target = node.func
-            name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
-            out.append((name, func, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
+        yield node, func
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
 
-    visit(tree, None)
-    return out
+
+def _calls(tree):
+    """(callee name, enclosing function name, line) for every call in the tree."""
+    return [(_name(node), func, node.lineno) for node, func in _nodes(tree) if isinstance(node, ast.Call)]
 
 
 def test_inverse_suffix_literal_only_in_groups():
@@ -69,6 +68,30 @@ def test_closure_and_generator_images_have_one_caller():
             if callee in callers:
                 callers[callee].add(func if func == _SOLE_CALLERS[callee] else f"{name}:{line} {func}")
     assert callers == {callee: {func} for callee, func in _SOLE_CALLERS.items()}
+
+
+def test_one_square_and_multiply_loop():
+    # every ring powers through algebra.power; a second `e >>= 1` loop is a second copy
+    found = [
+        f"{name}:{node.lineno} {func}"
+        for name, tree in _modules()
+        for node, func in _nodes(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)
+        if (name, func) != ("algebra.py", "power")
+    ]
+    assert found == []
+
+
+def test_no_fermat_inverse():
+    # the builtin pow(c, -1, p) is the one modular inverse
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow"
+        if len(node.args) > 1 and ast.unparse(node.args[1]).endswith(" - 2")
+    ]
+    assert found == []
 
 
 def test_budget_names_only_as_reduction_budget_fields():

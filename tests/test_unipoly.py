@@ -6,7 +6,10 @@ import random
 import pytest
 import sympy
 
+from finquot.algebra import power
 from finquot.errors import BudgetExceeded
+from finquot.fields import finite_field
+from finquot.multipoly import MultiPoly
 from finquot.unipoly import (
     UniPoly,
     enumerate_irreducibles,
@@ -87,6 +90,13 @@ def test_gcd_char_p():
     assert poly(3, 0, 1).gcd(poly(3, 0, 0, 1)) == poly(3, 0, 1)
 
 
+def _naive_power(x, e, mul, one):
+    acc = one
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
 def test_powmod():
     # x^3 = 1 mod x^2 + x + 1 over F_2
     x = poly(2, 0, 1)
@@ -99,10 +109,38 @@ def test_powmod():
         base = poly(p, *[rng.randrange(p) for _ in range(3)])
         mod = poly(p, *([rng.randrange(p) for _ in range(3)] + [1]))
         e = rng.randrange(1, 40)
-        naive = poly(p, 1)
-        for _ in range(e):
-            naive = (naive * base).divmod(mod)[1]
-        assert base.powmod(e, mod) == naive
+        assert base.powmod(e, mod) == _naive_power(base, e, lambda a, b: (a * b).divmod(mod)[1], poly(p, 1))
+    # algebra.power, the one square-and-multiply, against the same naive loop
+    for n in (2, 9, 10, 97):
+        mul = lambda a, b, n=n: a * b % n
+        for v in range(n):
+            for e in range(n + 2):
+                assert power(v, e, mul, 1) == _naive_power(v, e, mul, 1) == pow(v, e, n)
+    big = 10**6 + 3
+    mul = lambda a, b: a * b % 1009
+    assert power(3, big, mul, 1) == _naive_power(3, big, mul, 1)
+    for char in (0, 3):
+        for nvars in (0, 1, 2):
+            one = MultiPoly.const(char, nvars, 1)
+            for _ in range(4):
+                monomials = [tuple(rng.randrange(3) for _ in range(nvars)) for _ in range(rng.randrange(1, 4))]
+                f = MultiPoly(char, nvars, {m: rng.randrange(-4, 5) for m in monomials})
+                for e in range(6):
+                    naive = _naive_power(f, e, MultiPoly.__mul__, one)
+                    assert f**e == power(f, e, MultiPoly.__mul__, one) == naive
+        # a monomial's power is known in closed form, even for e > 10^6
+        f = MultiPoly(char, 2, {(1, 0): 2})
+        assert f**big == MultiPoly(char, 2, {(big, 0): pow(2, big, char) if char else 2**big})
+    for p, modulus in ((2, UniPoly(2, (1, 1, 1))), (3, UniPoly(3, (1, 0, 1))), (7, None)):
+        field = finite_field(p, modulus)
+        q = field.q
+        for v in range(q):
+            for e in range(q + 2):
+                naive = _naive_power(v, e, field.mul, 1)
+                assert field.pow(v, e) == power(v, e, field.mul, 1) == naive
+            # Lagrange: v^(q-1) = 1 for v != 0, so v^big = v^(big mod (q - 1))
+            expected = _naive_power(v, big % (q - 1), field.mul, 1) if v else 0
+            assert field.pow(v, big) == power(v, big, field.mul, 1) == expected
 
 
 def test_irreducibility_examples():
@@ -187,6 +225,13 @@ def test_gauss_count_examples():
     assert gauss_irreducible_count(2, 3) == 2
     assert gauss_irreducible_count(2, 4) == 3
     assert gauss_irreducible_count(3, 1) == 3
+
+
+def test_gauss_count_and_enumeration_refuse_composite_p():
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        gauss_irreducible_count(4, 2)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        next(enumerate_irreducibles(4, 1))
 
 
 def test_gauss_count_matches_enumeration():
