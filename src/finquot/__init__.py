@@ -24,8 +24,6 @@ from .parsing import parse_entry
 from .profiler import (
     FarbProfile,
     ReductionBudget,
-    build_growth_table,
-    d_reduction,
     farb_profile,
     farb_z,
     inequality_audit,
@@ -40,7 +38,6 @@ from .serialize import (
     profile_to_csv,
     resolve_spec,
     spec_fingerprint,
-    write_witness_file,
 )
 from .unipoly import UniPoly, enumerate_irreducibles, gauss_irreducible_count
 from .witness import (
@@ -75,12 +72,10 @@ __all__ = [
     "WitnessRecord",
     "Word",
     "ball_enumerate",
-    "build_growth_table",
     "chain_prime_bound",
     "charp_witness",
     "charzero_witness",
     "cyclic_group",
-    "d_reduction",
     "diagonal_group",
     "dz",
     "enumerate_irreducibles",
@@ -108,5 +103,4 @@ __all__ = [
     "verify_witness",
     "word_evaluate",
     "word_growth",
-    "write_witness_file",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -33,6 +34,9 @@ from .unipoly import gauss_irreducible_count
 from .witness import separate, verify_witness
 
 BUDGET_ENV = "FINQUOT_BUDGETS"
+
+# Python's default limit on the digits of an int converted to str
+PRINT_DIGITS = 4300
 
 
 def _env_budgets() -> dict:
@@ -106,6 +110,10 @@ def _cmd_farb_z(args) -> int:
 
 
 def _cmd_gauss_count(args) -> int:
+    # the count is at most p^ell, so every count this lets through prints;
+    # gauss_irreducible_count refuses p < 2 as not prime
+    if args.p > 1 and args.ell * math.log10(args.p) > PRINT_DIGITS:
+        raise FinquotError(f"p^ell = {args.p}^{args.ell} exceeds the {PRINT_DIGITS}-digit print limit")
     print(gauss_irreducible_count(args.p, args.ell))
     return 0
 

@@ -179,14 +179,6 @@ def scaled_difference(spec: GroupSpec, word: Word, gamma: FieldMatrix | None = N
     )
 
 
-def growth_degree_bounds(spec: GroupSpec, word: Word, gamma: FieldMatrix | None = None) -> tuple[int, int]:
-    """(max |coefficient|, max total degree) over scaled_difference entries."""
-    scaled = scaled_difference(spec, word, gamma)
-    coeff = max((e.max_abs_coeff() for row in scaled for e in row), default=0)
-    degree = max((e.total_degree() for row in scaled for e in row), default=-1)
-    return coeff, degree
-
-
 @dataclass(frozen=True)
 class BallElement:
     word: Word

@@ -118,9 +118,6 @@ class MultiPoly:
         """Max term degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def max_abs_coeff(self) -> int:
-        return max((abs(c) for c in self.terms.values()), default=0)
-
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from .algebra import factorize, next_prime, primes
 from .errors import BudgetExceeded, FinquotError, NotFoundWithinBudget
 from .fields import Field, finite_field
-from .groups import BALL_BUDGET, GroupSpec, Word, ball_enumerate, word_evaluate
+from .groups import BALL_BUDGET, GroupSpec, Word, ball_enumerate
 from .multipoly import MultiPoly
 from .unipoly import enumerate_irreducibles
 from .witness import ORDER_BUDGET, FieldHom, image_order, separate, word_image
@@ -258,17 +258,6 @@ def _is_constant_unipotent(mat) -> bool:
     return not any(any(row) for row in power)
 
 
-def d_reduction(spec: GroupSpec, word: Word, budget: ReductionBudget = ReductionBudget()) -> tuple[int, bool]:
-    """Minimum image order over all in-budget reductions separating the word.
-
-    Raises NotFoundWithinBudget when nothing in the budget separates it.
-    Builds a scanner per call; for many words, reuse one ReductionScanner.
-    """
-    if word_evaluate(spec, word).is_identity():
-        raise ValueError("identity word has no separating quotient")
-    return ReductionScanner(spec, budget).min_order(word)
-
-
 @dataclass(frozen=True)
 class ProfileRow:
     radius: int
@@ -369,16 +358,6 @@ def subgroup_growth_catalog(group_id: str, n: int) -> int:
     raise ValueError(f"unknown catalog group {group_id!r}")
 
 
-def sublattice_count_oracle(m: int) -> int:
-    """Index-m sublattices of Z^2 by direct Hermite-form enumeration."""
-    count = 0
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        count += d  # [[a, b], [0, d]] with a = m // d, 0 <= b < d
-    return count
-
-
 @dataclass(frozen=True)
 class AuditReport:
     n_max: int
@@ -434,70 +413,24 @@ class ThresholdReport:
     min_ratio_at: int
 
 
-class ProfileSamples(list):
-    """(radius, reduction minimum) pairs read from a profile, which starts at
-    radius 1; threshold_check skips the radii below its cutoff."""
+THRESHOLD_MIN_N = 16
 
 
-def threshold_check(samples) -> ThresholdReport:
-    """(log F(n))^2 / log log n over the samples; all n must be >= 16.
+def threshold_check(samples: list[tuple[int, int]]) -> ThresholdReport:
+    """(log F(n))^2 / log log n over (n, F(n)) pairs.
 
-    Accepts (n, F(n)) pairs, a FarbProfile or ProfileSamples; a profile's
-    reduction minima stand in for F, and its rows below the n >= 16 cutoff
-    are skipped.  Reports only; callers decide what ratio is acceptable.
+    Every n must be at least THRESHOLD_MIN_N and every value at least 1.
+    Reports only; callers decide what ratio is acceptable.
     """
-    if isinstance(samples, FarbProfile):
-        samples = ProfileSamples((row.radius, row.max_d_reduction) for row in samples.rows)
     rows = []
     for n, value in samples:
-        if n < 16:
-            if isinstance(samples, ProfileSamples):
-                continue
-            raise ValueError("threshold samples need n >= 16")
+        if n < THRESHOLD_MIN_N:
+            raise ValueError(f"threshold samples need n >= {THRESHOLD_MIN_N}")
+        if value < 1:
+            raise ValueError(f"threshold values must be >= 1, got {value} at n={n}")
         ratio = math.log(value) ** 2 / math.log(math.log(n))
         rows.append(ThresholdRow(n=n, value=value, ratio=ratio))
     if not rows:
         raise ValueError("no samples")
     best = min(rows, key=lambda r: r.ratio)
     return ThresholdReport(rows=tuple(rows), min_ratio=best.ratio, min_ratio_at=best.n)
-
-
-@dataclass(frozen=True)
-class GrowthTable:
-    group_id: str
-    radii: tuple[int, ...]
-    word_counts: tuple[int, ...]
-    subgroup_counts: tuple[int, ...]
-    divisibility: tuple[int, ...]
-    audit_pass: bool
-
-
-def build_growth_table(group_id: str, n: int) -> GrowthTable:
-    """Word growth, subgroup growth and divisibility profile side by side
-    for the catalog groups."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    radii = tuple(range(1, n + 1))
-    if group_id == "Z":
-        words = tuple(2 * k + 1 for k in radii)
-    elif group_id == "Z2":
-        words = tuple(2 * k * k + 2 * k + 1 for k in radii)
-    else:
-        raise ValueError(f"unknown catalog group {group_id!r}")
-    subs = tuple(subgroup_growth_catalog(group_id, k) for k in radii)
-    divis = tuple(farb_z(k) for k in radii)
-    if group_id == "Z":
-        audit = inequality_audit(n).all_pass
-    else:
-        audit = all(
-            subgroup_growth_catalog("Z2", k) == sum(sublattice_count_oracle(m) for m in range(1, k + 1))
-            for k in range(1, min(n, 30) + 1)
-        )
-    return GrowthTable(
-        group_id=group_id,
-        radii=radii,
-        word_counts=words,
-        subgroup_counts=subs,
-        divisibility=divis,
-        audit_pass=audit,
-    )

@@ -16,7 +16,7 @@ from .errors import EntryParseError, SpecFileError
 from .fields import finite_field
 from .groups import NAMED_GROUPS, GroupSpec, Word, check_characteristic
 from .parsing import parse_entry
-from .profiler import FarbProfile, ProfileSamples, ReductionBudget, is_budget_value
+from .profiler import THRESHOLD_MIN_N, FarbProfile, ReductionBudget, is_budget_value
 from .ratfunc import FieldMatrix
 from .unipoly import UniPoly
 from .witness import FieldHom, WitnessRecord
@@ -236,11 +236,6 @@ def witness_from_data(data) -> tuple[WitnessRecord, str]:
     return record, data["spec_fingerprint"]
 
 
-def write_witness_file(path: str, record: WitnessRecord, spec_fp: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(witness_to_data(record, spec_fp)) + "\n")
-
-
 def load_witness_file(path: str) -> tuple[WitnessRecord, str]:
     return witness_from_data(_read_json(path))
 
@@ -259,20 +254,23 @@ def profile_to_csv(profile: FarbProfile) -> str:
 def threshold_samples_from_csv(text: str) -> list[tuple[int, int]]:
     """(n, F) pairs from either a profile CSV or a two-column n,value CSV.
 
-    A profile CSV, told apart by its header, yields ProfileSamples.
+    A profile CSV, told apart by its header, starts at radius 1; its rows
+    with n below THRESHOLD_MIN_N are dropped.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise SpecFileError("empty CSV")
     header = lines[0]
     if header == PROFILE_HEADER:
-        out = ProfileSamples()
+        out = []
         columns = header.count(",") + 1
         for line in lines[1:]:
             parts = line.split(",")
             if len(parts) != columns:
                 raise SpecFileError(f"need {columns} columns per profile row, got {line!r}")
-            out.append((int(parts[0]), int(parts[4])))
+            n, value = int(parts[0]), int(parts[4])
+            if n >= THRESHOLD_MIN_N:
+                out.append((n, value))
         return out
     start = 0
     first = header.split(",")

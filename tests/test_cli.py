@@ -27,6 +27,26 @@ def test_gauss_count(capsys):
     assert (code, out, json.loads(err)) == (1, "", {"error": "ValueError", "message": "4 is not prime"})
 
 
+def test_gauss_count_refuses_counts_past_the_print_limit(capsys, monkeypatch):
+    # 14280 * log10(2) < 4300 < 15000 * log10(2)
+    code, out, err = run(capsys, "gauss-count", "2", "14280")
+    assert (code, err) == (0, "")
+    assert 4200 < len(out.strip()) <= 4300
+    record = _refused(*run(capsys, "gauss-count", "2", "15000"))
+    assert record == {
+        "error": "FinquotError",
+        "message": "p^ell = 2^15000 exceeds the 4300-digit print limit",
+        "detail": {},
+    }
+
+    def never(p, ell):
+        raise AssertionError("the count was computed")
+
+    monkeypatch.setattr("finquot.cli.gauss_irreducible_count", never)
+    record = _refused(*run(capsys, "gauss-count", "2", "30000000"))
+    assert record["message"] == "p^ell = 2^30000000 exceeds the 4300-digit print limit"
+
+
 def test_domain_error_record(capsys):
     code, out, err = run(capsys, "dz", "0")
     assert code == 1
@@ -181,6 +201,18 @@ def test_threshold_command(tmp_path, capsys):
     assert lines[0].startswith("n=16 ")
     assert all("ratio=" in line for line in lines[:-1])
     assert lines[-1].startswith("min_ratio=")
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threshold_refuses_value_below_one(tmp_path, capsys, value):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"n,F\n100,7\n16,{value}\n")
+    record = _refused(*run(capsys, "threshold", str(path)))
+    assert record == {
+        "error": "FinquotError",
+        "message": f"threshold values must be >= 1, got {value} at n=16",
+        "detail": {},
+    }
 
 
 def test_threshold_accepts_profile_csv(tmp_path, capsys):

@@ -10,7 +10,6 @@ from finquot.groups import (
     GroupSpec,
     ball_enumerate,
     compute_phi,
-    growth_degree_bounds,
     scaled_difference,
     word_evaluate,
 )
@@ -205,12 +204,6 @@ def test_scaled_difference_refuses_uncleared_denominator(sanov):
     gamma = FieldMatrix(((P(one), RatFunc(one, t)), (P(t), P(one))))
     with pytest.raises(ValueError):
         scaled_difference(sanov, sanov.word("a"), gamma)
-
-
-def test_growth_degree_bounds(sanov):
-    assert growth_degree_bounds(sanov, sanov.word("a a^-1")) == (0, -1)
-    coeff, degree = growth_degree_bounds(sanov, sanov.word("a b"))
-    assert (coeff, degree) == (1, 2)
 
 
 def test_ball_sizes_free_group(sanov):

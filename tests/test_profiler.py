@@ -11,19 +11,16 @@ from finquot.groups import ball_enumerate, sanov_group
 from finquot.profiler import (
     ReductionBudget,
     ReductionScanner,
-    build_growth_table,
-    d_reduction,
     divisor_sum,
     farb_profile,
     farb_z,
     inequality_audit,
     subgroup_growth_catalog,
-    sublattice_count_oracle,
     threshold_check,
     word_growth,
 )
 from finquot.profiler import _opposite_unipotent_param, _quotient_floor
-from finquot.serialize import spec_from_data
+from finquot.serialize import profile_to_csv, spec_from_data, threshold_samples_from_csv
 from finquot.witness import FieldHom, image_order
 
 
@@ -59,16 +56,16 @@ def test_farb_z_nondecreasing_and_banded():
         assert 0.5 <= farb_z(n) / math.log(n) <= 3.0
 
 
-def test_d_reduction_sanov_generator(sanov):
-    assert d_reduction(sanov, sanov.word("a")) == (6, True)
+def test_d_reduction_sanov_generator(sanov, sanov_scanner):
+    assert sanov_scanner.min_order(sanov.word("a")) == (6, True)
     small = ReductionBudget(max_prime=7, max_degree=1, order_budget=50_000)
-    assert d_reduction(sanov, sanov.word("a"), small) == (6, True)
+    assert ReductionScanner(sanov, small).min_order(sanov.word("a")) == (6, True)
 
 
-def test_d_reduction_cyclic_powers(cyclic):
+def test_d_reduction_cyclic_powers(cyclic, cyclic_scanner):
     # the n-th power of a unipotent integer matrix dies mod p exactly when p | n
     for k in range(1, 13):
-        order, exhaustive = d_reduction(cyclic, cyclic.word(f"a^{k}"))
+        order, exhaustive = cyclic_scanner.min_order(cyclic.word(f"a^{k}"))
         want = 2
         while k % want == 0 or not is_prime(want):
             want += 1
@@ -76,23 +73,24 @@ def test_d_reduction_cyclic_powers(cyclic):
         assert exhaustive
 
 
-def test_d_reduction_rejects_identity(sanov):
-    with pytest.raises(ValueError):
-        d_reduction(sanov, sanov.word("a a^-1"))
+def test_d_reduction_rejects_identity(sanov, sanov_scanner):
+    # every hom kills a a^-1, so no reduction separates it
+    with pytest.raises(NotFoundWithinBudget):
+        sanov_scanner.min_order(sanov.word("a a^-1"))
 
 
 def test_d_reduction_not_found(diagonal):
     # mod 2 the only surviving parameter value is t = 1, which kills diag(t, 1/t)
     tiny = ReductionBudget(max_prime=2, max_degree=1, order_budget=1000)
     with pytest.raises(NotFoundWithinBudget):
-        d_reduction(diagonal, diagonal.word("a"), tiny)
+        ReductionScanner(diagonal, tiny).min_order(diagonal.word("a"))
 
 
 def test_d_reduction_order_budget_exhaustion(sanov):
     # a^2 dies mod 2; the next quotient is SL(2,3) of order 24 over the cap
     cramped = ReductionBudget(max_prime=5, max_degree=1, order_budget=20)
     with pytest.raises(BudgetExceeded):
-        d_reduction(sanov, sanov.word("a^2"), cramped)
+        ReductionScanner(sanov, cramped).min_order(sanov.word("a^2"))
 
 
 def test_scanner_char0_order_histogram(sanov_scanner):
@@ -242,11 +240,6 @@ def test_subgroup_growth_catalog():
         subgroup_growth_catalog("Z3", 2)
 
 
-def test_sublattice_count_matches_divisor_sum():
-    for m in range(1, 60):
-        assert sublattice_count_oracle(m) == divisor_sum(m)
-
-
 def test_inequality_audit():
     report = inequality_audit(10_000)
     assert report.all_pass
@@ -261,25 +254,16 @@ def test_threshold_check(cyclic):
     assert report.min_ratio > 0.4
     assert report.min_ratio_at in (16, 100, 10_000)
     profile = farb_profile(cyclic, 16)
-    prof_report = threshold_check(profile)
+    prof_report = threshold_check(threshold_samples_from_csv(profile_to_csv(profile)))
     assert prof_report.rows[-1].n == 16
     with pytest.raises(ValueError):
         threshold_check([(8, 3)])
 
 
-def test_build_growth_table():
-    tz = build_growth_table("Z", 12)
-    assert tz.radii == tuple(range(1, 13))
-    assert tz.word_counts == tuple(2 * n + 1 for n in range(1, 13))
-    assert tz.subgroup_counts == tuple(range(1, 13))
-    assert tz.divisibility == tuple(farb_z(n) for n in range(1, 13))
-    assert tz.audit_pass
-    t2 = build_growth_table("Z2", 8)
-    assert t2.word_counts == tuple(2 * n * n + 2 * n + 1 for n in range(1, 9))
-    assert t2.subgroup_counts == tuple(subgroup_growth_catalog("Z2", n) for n in range(1, 9))
-    assert t2.audit_pass
-    with pytest.raises(ValueError):
-        build_growth_table("free", 4)
+@pytest.mark.parametrize("value", [0, -2])
+def test_threshold_check_refuses_value_below_one(value):
+    with pytest.raises(ValueError, match=f"threshold values must be >= 1, got {value} at n=16"):
+        threshold_check([(100, 7), (16, value)])
 
 
 def test_profile_sandwich_violation_raises(cyclic, monkeypatch):

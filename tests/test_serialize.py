@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from finquot.cli import main
 from finquot.errors import BudgetExceeded, SpecFileError
 from finquot.groups import cyclic_group, sanov_group
 from finquot.profiler import farb_profile
@@ -22,9 +23,8 @@ from finquot.serialize import (
     threshold_samples_from_csv,
     witness_from_data,
     witness_to_data,
-    write_witness_file,
 )
-from finquot.witness import separate, verify_witness
+from finquot.witness import ORDER_BUDGET, separate, verify_witness
 
 SANOV_DATA = {
     "characteristic": 0,
@@ -155,7 +155,7 @@ def test_witness_round_trip(tmp_path, sanov):
     back, back_fp = witness_from_data(data)
     assert back == rec and back_fp == fp
     path = tmp_path / "w.json"
-    write_witness_file(str(path), rec, fp)
+    path.write_text(canonical_json(data) + "\n", encoding="utf-8")
     loaded, loaded_fp = load_witness_file(str(path))
     assert loaded == rec and loaded_fp == fp
     ok, reason = verify_witness(sanov, loaded)
@@ -166,7 +166,7 @@ def test_witness_round_trip_extension_field(tmp_path, sanov3):
     rec = separate(sanov3, sanov3.word("a b a b^-1"))
     fp = spec_fingerprint(sanov3)
     path = tmp_path / "w3.json"
-    write_witness_file(str(path), rec, fp)
+    path.write_text(canonical_json(witness_to_data(rec, fp)) + "\n", encoding="utf-8")
     loaded, _ = load_witness_file(str(path))
     assert loaded == rec
     assert verify_witness(sanov3, loaded) == (True, "ok")
@@ -181,12 +181,13 @@ def test_witness_data_requires_fields(sanov):
 
 
 def test_witness_files_are_deterministic(tmp_path, sanov):
-    rec = separate(sanov, sanov.word("a b"))
+    rec = separate(sanov, sanov.word("a b"), order_budget=ORDER_BUDGET)
     fp = spec_fingerprint(sanov)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_witness_file(str(p1), rec, fp)
-    write_witness_file(str(p2), rec, fp)
+    for path in (p1, p2):
+        assert main(["witness", "sanov", "--word", "a b", "--out", str(path)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+    assert p1.read_text(encoding="utf-8") == canonical_json(witness_to_data(rec, fp)) + "\n"
 
 
 def test_profile_csv(cyclic):
@@ -202,8 +203,12 @@ def test_profile_csv(cyclic):
 def test_threshold_samples_from_csv(cyclic):
     assert threshold_samples_from_csv("n,F\n16,5\n100,7\n") == [(16, 5), (100, 7)]
     assert threshold_samples_from_csv("16,5\n100,7\n") == [(16, 5), (100, 7)]
-    profile_text = profile_to_csv(farb_profile(cyclic, 3))
-    assert threshold_samples_from_csv(profile_text) == [(1, 2), (2, 3), (3, 3)]
+    # a profile starts at radius 1; only its rows with n >= 16 are samples
+    profile = farb_profile(cyclic, 18)
+    samples = threshold_samples_from_csv(profile_to_csv(profile))
+    assert samples == [(row.radius, row.max_d_reduction) for row in profile.rows if row.radius >= 16]
+    assert [n for n, _ in samples] == [16, 17, 18]
+    assert threshold_samples_from_csv(profile_to_csv(farb_profile(cyclic, 3))) == []
     with pytest.raises(SpecFileError):
         threshold_samples_from_csv("16\n")
 

@@ -3,7 +3,8 @@ suffix, only image_order builds a stabilizer chain, only FieldHom.generator_imag
 maps a spec's generators through a hom, only ReductionBudget's fields
 name the budgets, only algebra.power runs a square-and-multiply loop, a
 modular inverse is pow(c, -1, p) and never a Fermat power pow(c, p - 2, p),
-and the only process-wide state is two caches of pure field data."""
+the only process-wide state is two caches of pure field data, and every
+public function and class in src/ is used outside the tests."""
 
 from __future__ import annotations
 
@@ -27,11 +28,14 @@ _CONTAINER_CALLS = {
 }
 
 
+def _parse(paths):
+    paths = sorted(paths)
+    assert paths
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in paths]
+
+
 def _modules():
-    package = Path(finquot.__file__).resolve().parent
-    modules = sorted(package.glob("*.py"))
-    assert modules
-    return [(path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) for path in modules]
+    return _parse(Path(finquot.__file__).resolve().parent.glob("*.py"))
 
 
 def _nodes(tree):
@@ -157,3 +161,38 @@ def test_process_wide_state_is_pure_field_data():
     # a cache that outlives one call makes every later benchmark pass cheaper
     found = set().union(*(_process_wide_state(name, tree) for name, tree in _modules()))
     assert found == _PURE_DATA_CACHES
+
+
+def _references(tree):
+    """Names a module refers to through a Name, an Attribute or an ImportFrom,
+    leaving out each top-level definition's references to itself."""
+    found = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update(n for n in names if n != owner)
+    return found
+
+
+def test_no_test_only_names():
+    # a public name that only tests reach is a test oracle living in src/
+    root = Path(__file__).resolve().parents[1]
+    modules = [(name, tree) for name, tree in _modules() if name != "__init__.py"]
+    users = modules + _parse(root.glob("demos/*.py")) + _parse(root.glob("perfbench/*.py"))
+    used = set().union(*(_references(tree) for _, tree in users))
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in modules
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if not node.name.startswith("_") and node.name not in used
+    ]
+    assert found == []
