@@ -103,8 +103,11 @@ class Field:
         return power(v, e, self.mul, 1)
 
     def inv(self, v: int) -> int:
+        """v^-1: the builtin pow over a prime field, v^(q-2) over an extension field."""
         if v == 0:
             raise ZeroDivisionError("inverse of zero")
+        if self.modulus is None:
+            return pow(v, -1, self.p)
         return self.pow(v, self.q - 2)
 
     def render(self, v: int) -> str:

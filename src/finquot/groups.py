@@ -89,11 +89,8 @@ def compute_phi(matrices, char: int, nvars: int) -> tuple[MultiPoly, frozenset[i
     for mat in matrices:
         for row in mat.rows:
             for entry in row:
-                den = entry.den
-                if den.is_const() and den.const_value() == 1:
-                    continue
-                g = mp_gcd(phi, den)
-                phi = mp_divexact(phi * den, g)
+                if not entry.is_poly():
+                    phi = mp_divexact(phi * entry.den, mp_gcd(phi, entry.den))
     if char == 0:
         content = math.gcd(*phi.terms.values())
         excluded = frozenset(factorize(content)) if content > 1 else frozenset()

@@ -242,20 +242,14 @@ def _is_one(cell) -> bool:
 
 
 def _is_constant_unipotent(mat) -> bool:
-    """Whether a characteristic-0 matrix has constant entries and (mat - I)^m = 0."""
-    m = mat.size
-    for row in mat.rows:
-        for cell in row:
-            if not (cell.is_poly() and cell.num.is_const()):
-                return False
-    diff = [
-        [cell.num.const_value() - (i == j) for j, cell in enumerate(row)]
-        for i, row in enumerate(mat.rows)
-    ]
-    power = diff
-    for _ in range(m - 1):
-        power = [[sum(power[i][k] * diff[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-    return not any(any(row) for row in power)
+    """Whether a characteristic-0 2 x 2 matrix has constant entries and
+    (mat - I)^2 = 0, which by Cayley-Hamilton on mat - I means trace 2 and
+    determinant 1."""
+    cells = [cell for row in mat.rows for cell in row]
+    if not all(cell.is_poly() and cell.num.is_const() for cell in cells):
+        return False
+    a, b, c, d = (cell.num.const_value() for cell in cells)
+    return a + d == 2 and a * d - b * c == 1
 
 
 @dataclass(frozen=True)
@@ -333,10 +327,7 @@ def word_growth(spec: GroupSpec, n: int) -> list[int]:
     fresh = [0] * (n + 1)
     for el in ball_enumerate(spec, n):
         fresh[el.word.length] += 1
-    counts = [1]
-    for k in range(1, n + 1):
-        counts.append(counts[-1] + fresh[k])
-    return counts
+    return list(itertools.accumulate(fresh[1:], initial=1))
 
 
 def divisor_sum(m: int) -> int:

@@ -81,7 +81,7 @@ class RatFunc:
         return RatFunc(self.den, self.num)
 
     def render(self, names=None) -> str:
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.is_poly():
             return self.num.render(names)
         num = self.num.render(names)
         den = self.den.render(names)

@@ -210,26 +210,16 @@ def witness_to_data(record: WitnessRecord, spec_fp: str) -> dict:
 
 def witness_from_data(data) -> tuple[WitnessRecord, str]:
     _check(isinstance(data, dict), "witness file must be a JSON object")
-    required = {
-        "spec_fingerprint", "word", "word_length", "entry", "hom",
-        "field_size", "gl_bound", "image_order", "image_order_exact", "verified",
-    }
-    missing = required - set(data)
+    names = [f.name for f in dataclasses.fields(WitnessRecord)]
+    missing = {"spec_fingerprint", *names} - set(data)
     _check(not missing, f"witness file missing fields: {sorted(missing)}")
+    raw = WitnessRecord(**{name: data[name] for name in names})
     try:
-        shapes = {"word": [str], "word_length": int, "field_size": int, "gl_bound": int}
-        if not all(_has_shape(data[key], shape) for key, shape in shapes.items()):
+        ints = (raw.word_length, raw.field_size, raw.gl_bound)
+        if not (_has_shape(raw.word, [str]) and all(_has_shape(v, int) for v in ints)):
             raise TypeError("word must be a list of strings; word_length, field_size and gl_bound ints")
-        record = WitnessRecord(
-            word=Word(tuple(data["word"])),
-            word_length=data["word_length"],
-            entry=tuple(data["entry"]),
-            hom=_hom_from_data(data["hom"]),
-            field_size=data["field_size"],
-            gl_bound=data["gl_bound"],
-            image_order=data["image_order"],
-            image_order_exact=data["image_order_exact"],
-            verified=data["verified"],
+        record = dataclasses.replace(
+            raw, word=Word(tuple(raw.word)), entry=tuple(raw.entry), hom=_hom_from_data(raw.hom)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"malformed witness file: {exc}") from exc
@@ -255,33 +245,30 @@ def threshold_samples_from_csv(text: str) -> list[tuple[int, int]]:
     """(n, F) pairs from either a profile CSV or a two-column n,value CSV.
 
     A profile CSV, told apart by its header, starts at radius 1; its rows
-    with n below THRESHOLD_MIN_N are dropped.
+    with n below THRESHOLD_MIN_N are dropped, and its value is the
+    max_d_reduction column.  Every row has exactly the header's columns.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise SpecFileError("empty CSV")
     header = lines[0]
-    if header == PROFILE_HEADER:
-        out = []
-        columns = header.count(",") + 1
-        for line in lines[1:]:
-            parts = line.split(",")
-            if len(parts) != columns:
-                raise SpecFileError(f"need {columns} columns per profile row, got {line!r}")
-            n, value = int(parts[0]), int(parts[4])
-            if n >= THRESHOLD_MIN_N:
-                out.append((n, value))
-        return out
-    start = 0
-    first = header.split(",")
-    if not first[0].lstrip("-").isdigit():
-        start = 1  # column-name header
+    profile = header == PROFILE_HEADER
+    if profile:
+        columns, value_col = header.count(",") + 1, 4
+        shape = f"{columns} columns per profile row"
+    else:
+        columns, value_col = 2, 1
+        shape = "two columns per row"
+    # a profile header, or a two-column header of column names
+    start = 1 if profile or not header.split(",")[0].lstrip("-").isdigit() else 0
     out = []
     for line in lines[start:]:
         parts = line.split(",")
-        if len(parts) < 2:
-            raise SpecFileError(f"need two columns per row, got {line!r}")
-        out.append((int(parts[0]), int(parts[1])))
-    if not out:
+        if len(parts) != columns:
+            raise SpecFileError(f"need {shape}, got {line!r}")
+        n, value = int(parts[0]), int(parts[value_col])
+        if not profile or n >= THRESHOLD_MIN_N:
+            out.append((n, value))
+    if not out and not profile:
         raise SpecFileError("no data rows in CSV")
     return out

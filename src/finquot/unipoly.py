@@ -11,6 +11,7 @@ order, which fixes the "first irreducible" used by witness construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import check_prime, factorize, mobius, power
@@ -188,16 +189,7 @@ def enumerate_irreducibles(p: int, ell: int):
             f"enumerating degree-{ell} polynomials over F_{p} needs budget {p ** ell}",
             required=p**ell,
         )
-    # Odometer over (a_0, ..., a_{ell-1}), a_0 most significant.
-    digits = [0] * ell
-    while True:
-        f = UniPoly(p, tuple(digits) + (1,))
+    for digits in itertools.product(range(p), repeat=ell):
+        f = UniPoly(p, digits + (1,))
         if is_irreducible(f):
             yield f
-        i = ell - 1
-        while i >= 0 and digits[i] == p - 1:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1

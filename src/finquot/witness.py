@@ -31,7 +31,7 @@ class FieldHom:
     Characteristic-0 sources map into the prime field Z/p (modulus None);
     characteristic-p sources map into F_p[x]/(modulus).  images are the
     variables' images, encoded as in fields.Field.  exponents and ell record
-    how the images were derived, enough to audit the construction.
+    how derive() built the images, enough to audit the construction.
     """
 
     char: int
@@ -39,6 +39,14 @@ class FieldHom:
     images: tuple[int, ...]
     exponents: tuple[int, ...]
     ell: int | None = None
+
+    @classmethod
+    def derive(cls, char: int, modulus: UniPoly | None, exponents: tuple[int, ...], ell: int) -> FieldHom:
+        """The hom sending x_i to ell^(n_i) mod p (modulus None) or to x^(n_i)
+        mod modulus, for the power-substitution exponents n_i."""
+        field = finite_field(char, modulus)
+        base = ell if modulus is None else field.encode((0, 1))
+        return cls(char, modulus, tuple(field.pow(base, n) for n in exponents), exponents, ell)
 
     @property
     def field(self) -> Field:
@@ -119,9 +127,7 @@ def charzero_witness(f: MultiPoly, excluded: frozenset[int] = frozenset()) -> Fi
         raise FinquotError("a degree-r polynomial cannot vanish at r+1 points")
     if abs(value) > (r + 1) * ell**r * big_a:
         raise FinquotError("evaluation bound violated")
-    p = smallest_prime_not_dividing(value, excluded)
-    images = tuple(pow(ell, n, p) for n in exponents)
-    hom = FieldHom(char=p, modulus=None, images=images, exponents=exponents, ell=ell)
+    hom = FieldHom.derive(smallest_prime_not_dividing(value, excluded), None, exponents, ell)
     if hom.apply(f) == 0:
         raise FinquotError("witness construction failed to preserve f")
     return hom
@@ -153,10 +159,7 @@ def charp_witness(f: MultiPoly) -> FieldHom:
             if _sparse_mod(g, h):
                 modulus = h
                 break
-    field = finite_field(p, modulus)
-    x = field.encode((0, 1))
-    images = tuple(field.pow(x, n) for n in exponents)
-    hom = FieldHom(char=p, modulus=modulus, images=images, exponents=exponents, ell=ell)
+    hom = FieldHom.derive(p, modulus, exponents, ell)
     if hom.apply(f) == 0:
         raise FinquotError("witness construction failed to preserve f")
     return hom
@@ -217,7 +220,7 @@ def separate(
         entry=(i, j),
         hom=hom,
         field_size=hom.field_size,
-        gl_bound=hom.field_size ** (spec.size**2),
+        gl_bound=gl_order_bound(hom.field_size, spec.size),
         image_order=order,
         image_order_exact=exact,
         verified=verified,
@@ -231,13 +234,13 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     spec's characteristic (a characteristic-0 spec maps into any finite
     field), field-size consistency, that the entry is a cell of the matrix,
     that the record claims verified, that phi, which every generator
-    denominator divides, stays a unit, that the images are ell^(n_i) mod p
-    (prime field) or x^(n_i) mod h with ell = deg h (extension field), that
-    each generator's image times its inverse's image is the identity, that
-    the word's image W differs from the identity at the claimed entry, and
-    the image-order claim: none, the GL bound as inexact, or an exact order
-    that image_order reproduces with the claimed order as its budget, so the
-    recomputation costs no more than the claim.
+    denominator divides, stays a unit, that the images are the ones
+    FieldHom.derive builds for both searches (with ell = deg h over an
+    extension field), that each generator's image times its inverse's image
+    is the identity, that the word's image W differs from the identity at
+    the claimed entry, and the image-order claim: none, the GL bound as
+    inexact, or an exact order that image_order reproduces with the claimed
+    order as its budget, so the recomputation costs no more than the claim.
     """
     hom = record.hom
     m = spec.size
@@ -245,7 +248,7 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         return False, "characteristic-mismatch"
     if hom.field_size != record.field_size:
         return False, "field-size-mismatch"
-    if record.gl_bound != record.field_size ** (m**2):
+    if record.gl_bound != gl_order_bound(record.field_size, m):
         return False, "gl-bound-mismatch"
     entry = record.entry
     if not (
@@ -260,11 +263,10 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
         return False, "denominator-killed"
     field = hom.field
     ell, exps = hom.ell, hom.exponents
-    base = ell if hom.modulus is None else field.encode((0, 1))
     if not (
         type(ell) is int and ell > 0 and all(type(n) is int and n >= 0 for n in exps)
         and (hom.modulus is None or ell == hom.modulus.degree)
-        and tuple(field.pow(base, n) for n in exps) == hom.images
+        and FieldHom.derive(hom.char, hom.modulus, exps, ell).images == hom.images
     ):
         return False, "hom-derivation-mismatch"
     ims = hom.generator_images(spec)
@@ -305,8 +307,13 @@ def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> t
     pairs = [(ims[l], ims[inverse_label(l)]) for l in spec.base_labels]
     order, exact = stabilizer_chain_order(pairs, hom.field, spec.size, budget)
     if not exact:
-        return hom.field_size ** (spec.size**2), False
+        return gl_order_bound(hom.field_size, spec.size), False
     return order, True
+
+
+def gl_order_bound(q: int, m: int) -> int:
+    """q^(m^2), the bound on |GL_m(F_q)| that every record carries."""
+    return q ** (m * m)
 
 
 def word_image(letters, images, field: Field, m: int) -> tuple[int, ...]:

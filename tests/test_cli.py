@@ -245,6 +245,14 @@ def test_threshold_profile_csv_after_blank_line(tmp_path, capsys):
     assert run(capsys, "threshold", str(path)) == plain
 
 
+def test_threshold_refuses_extra_column(tmp_path, capsys):
+    path = tmp_path / "samples.csv"
+    path.write_text("16,5,9\n17,6\n")
+    record = _refused(*run(capsys, "threshold", str(path)))
+    assert record["error"] == "SpecFileError"
+    assert record["message"] == "need two columns per row, got '16,5,9'"
+
+
 def test_threshold_refuses_short_profile_row(tmp_path, capsys):
     path = tmp_path / "profile.csv"
     path.write_text(PROFILE_HEADER + "\n16,5\n")

@@ -32,6 +32,14 @@ def test_prime_field_inverse():
         finite_field(5, None).inv(0)
 
 
+def test_prime_field_inverse_is_builtin_and_fermat():
+    # the Fermat power v^(p-2) is the rule Field.inv used before
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        field = finite_field(p, None)
+        for v in range(1, p):
+            assert field.inv(v) == pow(v, -1, p) == pow(v, p - 2, p)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         finite_field(6, None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -19,7 +20,9 @@ from finquot.profiler import (
     threshold_check,
     word_growth,
 )
-from finquot.profiler import _opposite_unipotent_param, _quotient_floor
+from finquot.parsing import parse_entry
+from finquot.profiler import _is_constant_unipotent, _opposite_unipotent_param, _quotient_floor
+from finquot.ratfunc import FieldMatrix
 from finquot.serialize import profile_to_csv, spec_from_data, threshold_samples_from_csv
 from finquot.witness import FieldHom, image_order
 
@@ -130,6 +133,47 @@ def test_scanner_floors(sanov_scanner, sanov3_scanner, cyclic_scanner):
 def test_quotient_floor_single_constant_generator(rows, floor):
     spec, _ = spec_from_data({"characteristic": 0, "variables": [], "generators": {"a": rows}})
     assert _quotient_floor(spec, ReductionBudget()) == floor
+
+
+def _unipotent_by_powering(mat) -> bool:
+    """The general rule _is_constant_unipotent replaced: constant entries and
+    (mat - I)^m = 0 for an m x m matrix."""
+    m = mat.size
+    for row in mat.rows:
+        for cell in row:
+            if not (cell.is_poly() and cell.num.is_const()):
+                return False
+    diff = [
+        [cell.num.const_value() - (i == j) for j, cell in enumerate(row)]
+        for i, row in enumerate(mat.rows)
+    ]
+    power = diff
+    for _ in range(m - 1):
+        power = [[sum(power[i][k] * diff[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    return not any(any(row) for row in power)
+
+
+def _matrix(entries):
+    cells = [parse_entry(str(e), 0, ["t"]) for e in entries]
+    return FieldMatrix([cells[:2], cells[2:]])
+
+
+def test_constant_unipotent_matches_powering_on_small_integer_matrices():
+    found = 0
+    for entries in itertools.product(range(-3, 4), repeat=4):
+        mat = _matrix(entries)
+        assert _is_constant_unipotent(mat) == _unipotent_by_powering(mat), entries
+        found += _is_constant_unipotent(mat)
+    assert found > 10  # [[1, b], [0, 1]], [[1, 0], [c, 1]], [[2, 1], [-1, 0]], ...
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [("1", "t", "0", "1"), ("1", "1/t", "0", "1"), ("1", "1/2", "0", "1"), ("t", "0", "0", "1/t"), ("1", "0", "t-t", "1")],
+)
+def test_constant_unipotent_matches_powering_on_non_constant_cells(entries):
+    mat = _matrix(entries)
+    assert _is_constant_unipotent(mat) == _unipotent_by_powering(mat)
 
 
 def test_golden_quartic_splits_into_quadratics_over_odd_primes():

@@ -1,10 +1,13 @@
 """Conventions that live in one place: only groups.py knows the inverse-label
 suffix, only image_order builds a stabilizer chain, only FieldHom.generator_images
-maps a spec's generators through a hom, only ReductionBudget's fields
-name the budgets, only algebra.power runs a square-and-multiply loop, a
-modular inverse is pow(c, -1, p) and never a Fermat power pow(c, p - 2, p),
-the only process-wide state is two caches of pure field data, and every
-public function and class in src/ is used outside the tests."""
+maps a spec's generators through a hom, only FieldHom.derive builds a hom's
+images from its exponents and ell, only gl_order_bound raises q to m^2, only
+ReductionBudget's fields name the budgets, witness_from_data takes its keys
+from WitnessRecord's fields, only algebra.power runs a square-and-multiply
+loop, a modular inverse is pow(c, -1, p) and never a Fermat power
+pow(c, p - 2, p), the only process-wide state is two caches of pure field
+data, and every public function and class in src/ is used outside the
+tests."""
 
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import finquot
 from finquot.profiler import ReductionBudget
+from finquot.witness import WitnessRecord
 
 # callee name -> the one function allowed to call it
 _SOLE_CALLERS = {"stabilizer_chain_order": "image_order", "apply_matrix": "generator_images"}
@@ -94,6 +98,54 @@ def test_no_fermat_inverse():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow"
         if len(node.args) > 1 and ast.unparse(node.args[1]).endswith(" - 2")
+    ]
+    assert found == []
+
+
+def test_images_derived_only_by_the_hom_constructor():
+    # encode((0, 1)) is x, the base of every extension-field image
+    found = [
+        f"{name} {func}"
+        for name, tree in _modules()
+        for node, func in _nodes(tree)
+        if isinstance(node, ast.Call) and _name(node) == "encode"
+        if [ast.unparse(arg) for arg in node.args] == ["(0, 1)"]
+    ]
+    assert found == ["witness.py derive"]
+
+
+def _is_square(node):
+    return isinstance(node, ast.BinOp) and (
+        (isinstance(node.op, ast.Pow) and ast.unparse(node.right) == "2")
+        or (isinstance(node.op, ast.Mult) and ast.unparse(node.left) == ast.unparse(node.right))
+    )
+
+
+def test_one_gl_bound_rule():
+    # q ** (m ** 2) or q ** (m * m) outside gl_order_bound is a second copy
+    found = [
+        f"{name} {func}"
+        for name, tree in _modules()
+        for node, func in _nodes(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and _is_square(node.right)
+    ]
+    assert found == ["witness.py gl_order_bound"]
+
+
+def test_witness_keys_only_as_record_fields():
+    # a string literal equal to a record field in the loader is a hand-written key list
+    names = {f.name for f in dataclasses.fields(WitnessRecord)}
+    [loader] = [
+        node
+        for name, tree in _modules()
+        if name == "serialize.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "witness_from_data"
+    ]
+    found = [
+        f"{node.lineno} {node.value}"
+        for node in ast.walk(loader)
+        if isinstance(node, ast.Constant) and node.value in names
     ]
     assert found == []
 

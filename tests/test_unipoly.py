@@ -249,6 +249,30 @@ def test_gauss_count_lower_bound():
                 assert gauss_irreducible_count(p, ell) >= half
 
 
+def _odometer_irreducibles(p: int, ell: int):
+    """The coefficient walk enumerate_irreducibles used before itertools.product."""
+    digits = [0] * ell
+    while True:
+        f = UniPoly(p, tuple(digits) + (1,))
+        if is_irreducible(f):
+            yield f
+        i = ell - 1
+        while i >= 0 and digits[i] == p - 1:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumerate_matches_odometer(p):
+    ell = 1
+    while p**ell <= 2401:
+        assert list(enumerate_irreducibles(p, ell)) == list(_odometer_irreducibles(p, ell)), ell
+        ell += 1
+
+
 def test_enumerate_examples():
     assert list(enumerate_irreducibles(2, 2)) == [poly(2, 1, 1, 1)]
     assert list(enumerate_irreducibles(3, 1)) == [poly(3, 0, 1), poly(3, 1, 1), poly(3, 2, 1)]
