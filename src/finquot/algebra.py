@@ -13,9 +13,11 @@ import itertools
 from typing import Iterator
 
 _TRIAL_LIMIT = 1 << 20
-# Witness set proven deterministic for n < 3_317_044_064_679_887_385_961_981
-# (Sorenson & Webster).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases are proven deterministic for n below psi_13 =
+# 3_317_044_064_679_887_385_961_981 (Sorenson & Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86, 2017; OEIS A014233).  The first 12
+# stop at psi_12 = 318_665_857_834_031_151_167_461, a strong pseudoprime to them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

@@ -186,7 +186,8 @@ def ball_enumerate(spec: GroupSpec, n: int, budget: int = BALL_BUDGET) -> list[B
     """All nontrivial elements of word length <= n, each with a shortest word.
 
     Breadth-first over the alphabet in sorted label order, dedup by exact
-    canonical matrix form.  Output is sorted by (length, canonical text) so
+    canonical matrix form.  A word is never extended by the inverse of its
+    last letter: that product is the parent, which is already seen.  Output is sorted by (length, canonical text) so
     the order is reproducible.  Raises BudgetExceeded past `budget` distinct
     elements, reporting how many had been found.
     """
@@ -200,7 +201,10 @@ def ball_enumerate(spec: GroupSpec, n: int, budget: int = BALL_BUDGET) -> list[B
     for _ in range(n):
         nxt: list[tuple[tuple[str, ...], FieldMatrix]] = []
         for letters, mat in frontier:
+            back = inverse_label(letters[-1]) if letters else None
             for label in labels:
+                if label == back:
+                    continue
                 cand = mat * spec.generators[label]
                 if cand in seen:
                     continue

@@ -19,8 +19,7 @@ from .errors import BudgetExceeded, FinquotError, NotFoundWithinBudget
 from .fields import Field, finite_field
 from .groups import BALL_BUDGET, GroupSpec, Word, ball_enumerate
 from .multipoly import MultiPoly
-from .unipoly import enumerate_irreducibles
-from .witness import ORDER_BUDGET, FieldHom, image_order, separate, word_image
+from .witness import ORDER_BUDGET, FieldHom, HomMemo, separate, word_image
 
 
 def farb_z(n: int) -> int:
@@ -87,19 +86,21 @@ class ReductionScanner:
     """All reduction homomorphisms for one group within one budget.
 
     Holds the homs sorted by image order so that the first survivor of a
-    word scan is its reduction minimum.
+    word scan is its reduction minimum.  The images, orders and moduli come
+    from memo, bound to spec and budget.order_budget (a fresh one if None).
     """
 
-    def __init__(self, spec: GroupSpec, budget: ReductionBudget):
+    def __init__(self, spec: GroupSpec, budget: ReductionBudget, memo: HomMemo | None = None):
+        memo = HomMemo.bind(spec, budget.order_budget, memo)
         self.size = spec.size
         self.budget = budget
         self.floor = _quotient_floor(spec, budget)
-        fields = _scan_fields(spec, budget)
+        fields = _scan_fields(spec, budget, memo)
         self.field_sizes = frozenset(field.q for field in fields)
-        homs = self._scan_homs(spec, fields)
+        homs = self._scan_homs(spec, fields, memo)
         self.homs = sorted(homs, key=lambda h: (h.order if h.order is not None else math.inf, h.label))
 
-    def _scan_homs(self, spec: GroupSpec, fields: list[Field]):
+    def _scan_homs(self, spec: GroupSpec, fields: list[Field], memo: HomMemo):
         """One hom per kernel: images up to simultaneous Frobenius conjugacy.
 
         Two variable assignments with the same minimal polynomial data induce
@@ -124,9 +125,8 @@ class ReductionScanner:
                 hom = FieldHom(p, field.modulus, tup, ())
                 if len(orbit) != degree or hom.apply(spec.phi) == 0:
                     continue
-                order, exact = image_order(spec, hom, self.budget.order_budget)
-                images = hom.generator_images(spec)
-                yield _ScanHom(f"{key}={q},t={tup}", field, order if exact else None, images)
+                order, exact = memo.order(hom)
+                yield _ScanHom(f"{key}={q},t={tup}", field, order if exact else None, memo.images(hom))
 
     def min_order(self, word: Word) -> tuple[int, bool]:
         """Smallest in-budget image order under which the word survives.
@@ -150,7 +150,7 @@ class ReductionScanner:
         )
 
 
-def _scan_fields(spec: GroupSpec, budget: ReductionBudget) -> list[Field]:
+def _scan_fields(spec: GroupSpec, budget: ReductionBudget, memo: HomMemo) -> list[Field]:
     """The target fields of the reduction scan.
 
     Characteristic 0: F_p for every prime p <= max_prime that phi does not
@@ -165,7 +165,7 @@ def _scan_fields(spec: GroupSpec, budget: ReductionBudget) -> list[Field]:
         ]
     p = spec.char
     return [
-        finite_field(p, next(iter(enumerate_irreducibles(p, j))))
+        finite_field(p, next(memo.irreducibles(p, j)))
         for j in range(1, budget.max_degree + 1)
     ]
 
@@ -278,8 +278,13 @@ def farb_profile(spec: GroupSpec, n: int, budget: ReductionBudget = ReductionBud
     Elements whose reduction minimum falls outside the budget are counted in
     budget_misses and clear the exhaustive flag; the witness bound is still
     recorded for them.  A ball past budget.ball_budget raises BudgetExceeded.
+
+    The call makes one HomMemo and shares it between its scanner and every
+    separate, so each generator image, each torus class's image order and
+    each candidate modulus is computed once; nothing outlives the call.
     """
-    scanner = ReductionScanner(spec, budget)
+    memo = HomMemo(spec, budget.order_budget)
+    scanner = ReductionScanner(spec, budget, memo)
     max_glb = max_io = max_dr = misses = 0
     exhaustive = True
     by_radius: dict[int, list] = {}
@@ -289,7 +294,7 @@ def farb_profile(spec: GroupSpec, n: int, budget: ReductionBudget = ReductionBud
     count = 0
     for radius in range(1, n + 1):
         for el in by_radius.get(radius, ()):
-            rec = separate(spec, el.word, gamma=el.matrix, order_budget=budget.order_budget)
+            rec = separate(spec, el.word, gamma=el.matrix, order_budget=budget.order_budget, memo=memo)
             max_glb = max(max_glb, rec.gl_bound)
             if rec.image_order_exact:
                 max_io = max(max_io, rec.image_order)

@@ -241,12 +241,23 @@ def profile_to_csv(profile: FarbProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int(text: str) -> bool:
+    """Whether int() reads text, as it reads every data field."""
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 def threshold_samples_from_csv(text: str) -> list[tuple[int, int]]:
     """(n, F) pairs from either a profile CSV or a two-column n,value CSV.
 
     A profile CSV, told apart by its header, starts at radius 1; its rows
     with n below THRESHOLD_MIN_N are dropped, and its value is the
     max_d_reduction column.  Every row has exactly the header's columns.
+    A two-column CSV may start with a header of two column names, neither
+    an integer; any other first line that is not a data row is refused.
     """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
@@ -259,8 +270,12 @@ def threshold_samples_from_csv(text: str) -> list[tuple[int, int]]:
     else:
         columns, value_col = 2, 1
         shape = "two columns per row"
-    # a profile header, or a two-column header of column names
-    start = 1 if profile or not header.split(",")[0].lstrip("-").isdigit() else 0
+    start = 1 if profile else 0
+    first = header.split(",")
+    if not profile and not _is_int(first[0]):
+        if len(first) != 2 or _is_int(first[1]):
+            raise SpecFileError(f"need a header of two column names or {shape}, got {header!r}")
+        start = 1
     out = []
     for line in lines[start:]:
         parts = line.split(",")

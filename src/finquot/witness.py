@@ -7,10 +7,15 @@ difference phi^len(w) * (w - I), folds phi in so denominators stay units,
 finds a witness homomorphism, and checks that the induced matrix map keeps
 the word away from the identity.  Everything returned is re-checkable by
 verify_witness without rerunning the search.
+
+A HomMemo holds the hom-level results of one command (generator images,
+image orders per torus class, and the monic irreducibles tried so far), so
+that a profile computes each of them once; nothing in it outlives the memo.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import primes, smallest_prime_not_dividing
@@ -101,6 +106,123 @@ class WitnessRecord:
     verified: bool
 
 
+class HomMemo:
+    """Hom-level results for one spec and one order budget, each computed once.
+
+    One farb_profile call makes one memo and hands it to its scanner and to
+    every separate; a call given no memo makes a fresh one, so this is the
+    only path.  It holds three tables, and nothing in them outlives the memo:
+
+    * the generator images of each hom, keyed by (char, modulus, images), so
+      a witness hom and the scan hom with the same images share them;
+    * the image order of each torus class (torus_key), built only when an
+      order is asked for;
+    * per (p, ell), the prefix of enumerate_irreducibles read so far, so
+      each candidate modulus gets one Rabin test.
+    """
+
+    def __init__(self, spec: GroupSpec, order_budget: int | None):
+        self.spec = spec
+        self.order_budget = order_budget
+        self._images = {}
+        self._orders = {}
+        self._irreducibles = {}
+
+    @classmethod
+    def bind(cls, spec: GroupSpec, order_budget: int | None, memo: HomMemo | None) -> HomMemo:
+        """memo, or a fresh memo if it is None; refuses one made for another
+        spec or order budget."""
+        if memo is None:
+            return cls(spec, order_budget)
+        if memo.spec is not spec or memo.order_budget != order_budget:
+            raise ValueError("memo is bound to another spec or order budget")
+        return memo
+
+    def images(self, hom: FieldHom) -> dict[str, tuple[int, ...]]:
+        """hom.generator_images(spec), once per hom."""
+        key = (hom.char, hom.modulus, hom.images)
+        ims = self._images.get(key)
+        if ims is None:
+            ims = self._images[key] = hom.generator_images(self.spec)
+        return ims
+
+    def order(self, hom: FieldHom) -> tuple[int, bool]:
+        """image_order at the memo's budget, once per torus class."""
+        ims = self.images(hom)
+        base = [ims[label] for label in self.spec.base_labels]
+        key = (hom.char, hom.modulus, torus_key(base, hom.field, self.spec.size))
+        result = self._orders.get(key)
+        if result is None:
+            result = self._orders[key] = image_order(self.spec, hom, self.order_budget, self)
+        return result
+
+    def irreducibles(self, p: int, ell: int):
+        """enumerate_irreducibles(p, ell): the prefix read so far, then the
+        same generator resumed, so readers may interleave."""
+        key = (p, ell)
+        if key not in self._irreducibles:
+            self._irreducibles[key] = ([], enumerate_irreducibles(p, ell))
+        found, source = self._irreducibles[key]
+        for i in itertools.count():
+            if i == len(found):
+                try:
+                    found.append(next(source))
+                except StopIteration:
+                    return
+                except BaseException:
+                    # a failed generator cannot resume; the next reader starts afresh
+                    del self._irreducibles[key]
+                    raise
+            yield found[i]
+
+
+def torus_key(base, field: Field, m: int) -> tuple[tuple[int, ...], ...]:
+    """The base-generator images conjugated by the diagonal D that sets every
+    entry of a spanning forest of their off-diagonal support to 1.
+
+    The forest takes the nonzero off-diagonal positions, generators in order
+    and positions row-major, and keeps each that joins two components
+    (union-find).  Conjugating by a diagonal matrix moves no nonzero
+    position, so it keeps the forest; and D is unique up to one scalar per
+    component, which cancels, since no nonzero entry joins two components.
+    So two image tuples have the same key iff a diagonal matrix conjugates
+    one into the other, and then their image groups have the same order.
+    """
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    # d[j] = d[i] * factor along each forest edge (i, j, factor)
+    edges = [[] for _ in range(m)]
+    for g in base:
+        for i, j in itertools.permutations(range(m), 2):
+            v = g[i * m + j]
+            if v and find(i) != find(j):
+                parent[find(i)] = find(j)
+                edges[i].append((j, v))
+                edges[j].append((i, field.inv(v)))
+    d = [0] * m
+    for root in range(m):
+        if d[root]:
+            continue
+        d[root] = 1
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j, factor in edges[i]:
+                if not d[j]:
+                    d[j] = field.mul(d[i], factor)
+                    stack.append(j)
+    d_inv = [field.inv(v) for v in d]
+    mul = field.mul
+    return tuple(
+        tuple(mul(mul(d[i], g[i * m + j]), d_inv[j]) for i in range(m) for j in range(m)) for g in base
+    )
+
+
 def charzero_witness(f: MultiPoly, excluded: frozenset[int] = frozenset()) -> FieldHom:
     """A prime p and residues under which the integer polynomial f survives.
 
@@ -133,13 +255,15 @@ def charzero_witness(f: MultiPoly, excluded: frozenset[int] = frozenset()) -> Fi
     return hom
 
 
-def charp_witness(f: MultiPoly) -> FieldHom:
+def charp_witness(f: MultiPoly, irreducibles=enumerate_irreducibles) -> FieldHom:
     """An extension field F_p[x]/(h) and images under which f survives.
 
     After the power substitution, the result g has at most deg(g)/ell monic
     irreducible factors of degree ell, so scanning degrees upward finds an
     irreducible non-divisor h; the variable images x^(n_i) mod h then keep
-    f nonzero.  The scan is by lexicographic order within each degree.
+    f nonzero.  The scan is by lexicographic order within each degree, as
+    irreducibles(p, ell) yields them (enumerate_irreducibles, or a HomMemo's
+    prefix of it).
     """
     p = f.char
     if not p:
@@ -155,7 +279,7 @@ def charp_witness(f: MultiPoly) -> FieldHom:
         ell += 1
         if ell > deg_g + 1:
             raise FinquotError("degree scan must terminate by the factor-count bound")
-        for h in enumerate_irreducibles(p, ell):
+        for h in irreducibles(p, ell):
             if _sparse_mod(g, h):
                 modulus = h
                 break
@@ -174,8 +298,10 @@ def _sparse_mod(g: dict[int, int], h: UniPoly) -> dict[int, int]:
     return {i: c for i, c in enumerate(acc.coeffs) if c}
 
 
-def polynomial_witness(f: MultiPoly, excluded: frozenset[int] = frozenset()) -> FieldHom:
-    return charp_witness(f) if f.char else charzero_witness(f, excluded)
+def polynomial_witness(
+    f: MultiPoly, excluded: frozenset[int] = frozenset(), irreducibles=enumerate_irreducibles
+) -> FieldHom:
+    return charp_witness(f, irreducibles) if f.char else charzero_witness(f, excluded)
 
 
 def separate(
@@ -183,13 +309,17 @@ def separate(
     word: Word,
     gamma: FieldMatrix | None = None,
     order_budget: int | None = None,
+    memo: HomMemo | None = None,
 ) -> WitnessRecord:
     """A finite quotient of the group in which the given word survives.
 
     Raises IdentityWordError when the word is trivial (checked exactly).
     With order_budget set, the record carries image_order's result: the
     exact order of the image group, or the GL bound as non-exact past it.
+    memo, bound to spec and order_budget, shares hom-level work between
+    calls; without one, the call makes its own.
     """
+    memo = HomMemo.bind(spec, order_budget, memo)
     if gamma is None:
         gamma = word_evaluate(spec, word)
     if gamma.is_identity():
@@ -203,17 +333,17 @@ def separate(
     ]
     (i, j), cell = min(cells, key=lambda pair: (pair[1].total_degree(), pair[0]))
     target = spec.phi * cell
-    hom = polynomial_witness(target, spec.excluded_primes)
+    hom = polynomial_witness(target, spec.excluded_primes, memo.irreducibles)
 
     field = hom.field
-    ims = hom.generator_images(spec)
+    ims = memo.images(hom)
     verified = word_image(word.letters, ims, field, spec.size) != field.identity(spec.size)
     if not verified:
         raise FinquotError("witness homomorphism failed to move the word off the identity")
 
     order = exact = None
     if order_budget is not None:
-        order, exact = image_order(spec, hom, order_budget)
+        order, exact = memo.order(hom)
     return WitnessRecord(
         word=word,
         word_length=word.length,
@@ -300,10 +430,12 @@ def verify_witness(spec: GroupSpec, record: WitnessRecord) -> tuple[bool, str]:
     return True, "ok"
 
 
-def image_order(spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET) -> tuple[int, bool]:
+def image_order(
+    spec: GroupSpec, hom: FieldHom, budget: int = ORDER_BUDGET, memo: HomMemo | None = None
+) -> tuple[int, bool]:
     """Exact order of the image group by a stabilizer chain, or (gl_bound, False)
-    when the order exceeds budget."""
-    ims = hom.generator_images(spec)
+    when the order exceeds budget.  The generator images come from memo."""
+    ims = HomMemo.bind(spec, budget, memo).images(hom)
     pairs = [(ims[l], ims[inverse_label(l)]) for l in spec.base_labels]
     order, exact = stabilizer_chain_order(pairs, hom.field, spec.size, budget)
     if not exact:

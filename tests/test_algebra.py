@@ -38,6 +38,60 @@ def test_is_prime_large():
     assert not is_prime((1 << 61) - 3)
 
 
+# psi_k: the least strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_matches_sympy_at_strong_pseudoprimes():
+    # psi_12 passes the 12 bases 2..37; base 41 makes the test complete below psi_13
+    assert PSI[-1] == 399165290221 * 798330580441
+    for psi in PSI:
+        for n in (psi - 2, psi, psi + 2):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_sympy_on_a_seeded_sample():
+    rng = random.Random(20170101)
+    for bits in (21, 40, 64, 72, 80):
+        for _ in range(60):
+            n = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(200):
+        n = rng.randrange(PSI[-1], PSI_13) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    # products of two primes near the top of the range
+    for _ in range(20):
+        p = sympy.nextprime(rng.randrange(10**11, 10**12))
+        q = sympy.nextprime(rng.randrange(10**11, 10**12))
+        assert not is_prime(p * q)
+
+
+def test_is_prime_refuses_past_the_proven_range():
+    assert is_prime(PSI_13 - 2) == sympy.isprime(PSI_13 - 2)
+    for n in (PSI_13, PSI_13 + 2):
+        with pytest.raises(ValueError, match="exceeds the deterministic primality range"):
+            is_prime(n)
+
+
+def test_polynomials_refuse_psi_12_as_characteristic():
+    with pytest.raises(ValueError, match=f"^{PSI[-1]} is not prime$"):
+        UniPoly(PSI[-1], (0, 1))
+
+
 def test_primes_stream():
     it = primes()
     assert [next(it) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

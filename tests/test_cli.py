@@ -27,6 +27,22 @@ def test_gauss_count(capsys):
     assert (code, out, json.loads(err)) == (1, "", {"error": "ValueError", "message": "4 is not prime"})
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+
+
+def test_gauss_count_refuses_psi_12(capsys):
+    record = _refused(*run(capsys, "gauss-count", str(PSI_12), "1"))
+    assert record == {"error": "ValueError", "message": f"{PSI_12} is not prime"}
+
+
+def test_spec_file_refuses_psi_12_characteristic(tmp_path, capsys):
+    path = tmp_path / "sanov.json"
+    generators = {"a": [["1", "t"], ["0", "1"]], "b": [["1", "0"], ["t", "1"]]}
+    path.write_text(json.dumps({"characteristic": PSI_12, "variables": ["t"], "generators": generators}))
+    record = _refused(*run(capsys, "witness", str(path), "--word", "a b"))
+    assert (record["error"], record["message"]) == ("SpecFileError", "characteristic must be 0 or a prime")
+
+
 def test_gauss_count_refuses_counts_past_the_print_limit(capsys, monkeypatch):
     # 14280 * log10(2) < 4300 < 15000 * log10(2)
     code, out, err = run(capsys, "gauss-count", "2", "14280")
@@ -251,6 +267,28 @@ def test_threshold_refuses_extra_column(tmp_path, capsys):
     record = _refused(*run(capsys, "threshold", str(path)))
     assert record["error"] == "SpecFileError"
     assert record["message"] == "need two columns per row, got '16,5,9'"
+
+
+@pytest.mark.parametrize("first", ["n,F,G", "x,5", "x", "n,F,"])
+def test_threshold_refuses_a_bad_first_line(tmp_path, capsys, first):
+    # a header is two column names, neither an integer; these were dropped unchecked
+    path = tmp_path / "samples.csv"
+    path.write_text(f"{first}\n16,5\n")
+    record = _refused(*run(capsys, "threshold", str(path)))
+    assert record == {
+        "error": "SpecFileError",
+        "message": f"need a header of two column names or two columns per row, got {first!r}",
+        "detail": {},
+    }
+
+
+@pytest.mark.parametrize("first", ["n,F", "n,value", "-,x"])
+def test_threshold_accepts_a_header_of_two_names(tmp_path, capsys, first):
+    path = tmp_path / "samples.csv"
+    path.write_text(f"{first}\n16,5\n")
+    code, out, _ = run(capsys, "threshold", str(path))
+    assert code == 0
+    assert out.splitlines()[0].startswith("n=16 value=5 ")
 
 
 def test_threshold_refuses_short_profile_row(tmp_path, capsys):
