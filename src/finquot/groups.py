@@ -187,9 +187,10 @@ def ball_enumerate(spec: GroupSpec, n: int, budget: int = BALL_BUDGET) -> list[B
 
     Breadth-first over the alphabet in sorted label order, dedup by exact
     canonical matrix form.  A word is never extended by the inverse of its
-    last letter: that product is the parent, which is already seen.  Output is sorted by (length, canonical text) so
-    the order is reproducible.  Raises BudgetExceeded past `budget` distinct
-    elements, reporting how many had been found.
+    last letter: that product is the parent, which is already seen.  Output
+    is sorted by (length, canonical text) so the order is reproducible.
+    Raises BudgetExceeded past `budget` distinct elements, reporting how
+    many had been found.
     """
     if n < 1:
         raise ValueError("radius must be >= 1")

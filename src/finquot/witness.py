@@ -181,43 +181,25 @@ def torus_key(base, field: Field, m: int) -> tuple[tuple[int, ...], ...]:
     entry of a spanning forest of their off-diagonal support to 1.
 
     The forest takes the nonzero off-diagonal positions, generators in order
-    and positions row-major, and keeps each that joins two components
-    (union-find).  Conjugating by a diagonal matrix moves no nonzero
+    and positions row-major, and keeps each that joins two components; D
+    rescales the far component as each edge joins.  Conjugating by a diagonal matrix moves no nonzero
     position, so it keeps the forest; and D is unique up to one scalar per
     component, which cancels, since no nonzero entry joins two components.
     So two image tuples have the same key iff a diagonal matrix conjugates
     one into the other, and then their image groups have the same order.
     """
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    # d[j] = d[i] * factor along each forest edge (i, j, factor)
-    edges = [[] for _ in range(m)]
+    comp, d = list(range(m)), [1] * m
+    mul = field.mul
     for g in base:
         for i, j in itertools.permutations(range(m), 2):
             v = g[i * m + j]
-            if v and find(i) != find(j):
-                parent[find(i)] = find(j)
-                edges[i].append((j, v))
-                edges[j].append((i, field.inv(v)))
-    d = [0] * m
-    for root in range(m):
-        if d[root]:
-            continue
-        d[root] = 1
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j, factor in edges[i]:
-                if not d[j]:
-                    d[j] = field.mul(d[i], factor)
-                    stack.append(j)
+            if v and comp[i] != comp[j]:
+                # scale j's component so that d_i * v * d_j^-1 = 1
+                old, scale = comp[j], mul(mul(d[i], v), field.inv(d[j]))
+                for k in range(m):
+                    if comp[k] == old:
+                        comp[k], d[k] = comp[i], mul(d[k], scale)
     d_inv = [field.inv(v) for v in d]
-    mul = field.mul
     return tuple(
         tuple(mul(mul(d[i], g[i * m + j]), d_inv[j]) for i in range(m) for j in range(m)) for g in base
     )

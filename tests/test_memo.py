@@ -195,7 +195,7 @@ def test_memo_refuses_another_spec_or_budget(sanov, sanov3):
 
 def test_memo_keeps_fields_apart(sanov3):
     # t -> 8 in F_9 and t -> 10 in F_27 have equal torus keys as integers, but
-    # the first generates SL(2, 5)'s order 120 and the second SL(2, 27)
+    # the first image has order 120 (SL(2, 5)) and the second is SL(2, 27)
     f9, f27 = (next(enumerate_irreducibles(3, degree)) for degree in (2, 3))
     homs = [FieldHom(3, f9, (8,), ()), FieldHom(3, f27, (10,), ())]
     for order in (homs, homs[::-1]):
