@@ -47,6 +47,8 @@ def _env_budgets() -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FinquotError(f"{BUDGET_ENV} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FinquotError(f"{BUDGET_ENV} nests too deeply to read") from exc
     return check_budgets(data, BUDGET_ENV)
 
 

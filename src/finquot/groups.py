@@ -165,15 +165,19 @@ def scaled_difference(spec: GroupSpec, word: Word, gamma: FieldMatrix | None = N
     Entry (i, j) is phi^len(w) * (num - [i = j] * den) divided exactly by
     den, for gamma's canonical fraction num/den.  That every entry clears
     to a polynomial is the load-bearing fact here; mp_divexact raises
-    ValueError if it ever failed.
+    ValueError if it ever failed.  A phi of 1 skips the power and a den of 1
+    the division.
     """
     if gamma is None:
         gamma = word_evaluate(spec, word)
-    scale = spec.phi ** word.length
-    return tuple(
-        tuple(mp_divexact(scale * (e.num - e.den if i == j else e.num), e.den) for j, e in enumerate(row))
-        for i, row in enumerate(gamma.rows)
-    )
+    scale = None if spec.phi.is_one() else spec.phi ** word.length
+
+    def clear(e, diagonal):
+        f = e.num - e.den if diagonal else e.num
+        f = f if scale is None else scale * f
+        return f if e.den.is_one() else mp_divexact(f, e.den)
+
+    return tuple(tuple(clear(e, i == j) for j, e in enumerate(row)) for i, row in enumerate(gamma.rows))
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,10 @@ class MultiPoly:
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
 
+    def is_one(self) -> bool:
+        """Whether this is exactly the constant 1: one term, zero exponents, coefficient 1."""
+        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
+
     def const_value(self) -> int:
         if not self.terms:
             return 0

@@ -17,6 +17,9 @@ from .errors import EntryParseError
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
 
+# Deepest parenthesis nesting accepted; each level costs four Python frames.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
 
@@ -45,6 +48,7 @@ class _Parser:
         self.nvars = len(self.variables)
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
@@ -124,8 +128,12 @@ class _Parser:
                 raise EntryParseError(f"unknown variable {value!r}", offset)
             return MultiPoly.variable(self.char, self.nvars, index)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise EntryParseError(f"parentheses nested deeper than {MAX_NESTING}", offset)
+            self.depth += 1
             inner = self.parse_expr()
             self._expect_op(")")
+            self.depth -= 1
             return inner
         raise EntryParseError("expected a value", offset)
 

@@ -238,7 +238,7 @@ def _opposite_unipotent_param(base: list) -> MultiPoly | None:
 
 
 def _is_one(cell) -> bool:
-    return cell.is_poly() and cell.num.is_const() and cell.num.const_value() == 1
+    return cell.is_poly() and cell.num.is_one()
 
 
 def _is_constant_unipotent(mat) -> bool:

@@ -5,6 +5,10 @@ integer content in characteristic 0) is divided out, and the denominator's
 graded-lex leading coefficient is normalized positive (char 0) or to 1
 (char p).  Equal fractions therefore have equal canonical forms, which makes
 exact identity detection and hashing sound during group enumeration.
+
+A denominator of exactly the constant 1 is canonical as it stands (the gcd
+with 1 is 1, and 1 is its own canonical associate), so a polynomial entry
+costs no gcd, no denominator product and no exact division.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ class RatFunc:
     def __post_init__(self):
         num, den = self.num, self.den
         num._check(den)
+        if den.is_one():
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -57,7 +63,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den.is_const() and self.den.const_value() == 1
+        return self.den.is_one()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.den == other.den:
@@ -71,9 +77,12 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.num.is_zero() or other.num.is_zero():
-            return RatFunc.const(self.char, self.nvars, 0)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        if self.num.is_zero():
+            return self
+        if other.num.is_zero():
+            return other
+        den = other.den if self.den.is_one() else self.den if other.den.is_one() else self.den * other.den
+        return RatFunc(self.num * other.num, den)
 
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():

@@ -125,6 +125,8 @@ def _read_json(path: str):
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path} nests too deeply to read") from exc
 
 
 def load_spec_file(path: str) -> tuple[GroupSpec, dict, str]:

@@ -569,3 +569,47 @@ def test_threshold_missing_csv(tmp_path, capsys):
     record = _refused(*run(capsys, "threshold", str(missing)))
     assert record["error"] == "FinquotError"
     assert record["message"].startswith(f"cannot read {missing}: ")
+
+
+def _cli_subprocess(*argv, env_extra=None):
+    """Run `python -m finquot` in a fresh process, so an uncaught error shows as a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import finquot
+
+    src = str(Path(finquot.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("FINQUOT_BUDGETS", None)
+    env.update(env_extra or {})
+    proc = subprocess.run(
+        [sys.executable, "-m", "finquot", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert "Traceback" not in proc.stderr
+    return _refused(proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_deeply_nested_spec_entry_is_refused(tmp_path):
+    path = tmp_path / "deep.json"
+    entry = "(" * 3000 + "t" + ")" * 3000
+    path.write_text(json.dumps({"characteristic": 0, "variables": ["t"], "generators": {"a": [[entry, "1"], ["0", "1"]]}}))
+    record = _cli_subprocess("witness", str(path), "--word", "a")
+    assert record == {
+        "error": "SpecFileError",
+        "message": "generator 'a' entry (0,0): parentheses nested deeper than 100 (byte 100)",
+        "detail": {},
+    }
+
+
+def test_deeply_nested_witness_file_is_refused(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    record = _cli_subprocess("verify", "sanov", str(path))
+    assert record == {"error": "SpecFileError", "message": f"{path} nests too deeply to read", "detail": {}}
+
+
+def test_deeply_nested_budget_env_is_refused():
+    record = _cli_subprocess("witness", "sanov", "--word", "a", env_extra={"FINQUOT_BUDGETS": "[" * 20000 + "]" * 20000})
+    assert record == {"error": "FinquotError", "message": "FINQUOT_BUDGETS nests too deeply to read", "detail": {}}

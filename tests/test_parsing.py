@@ -84,3 +84,15 @@ def test_render_parse_round_trip():
             continue
         r = RatFunc(num, den)
         assert parse_entry(r.render(names), char, names) == r
+
+
+def test_nesting_limit_reports_the_opening_parenthesis():
+    from finquot.parsing import MAX_NESTING
+
+    deepest = "(" * MAX_NESTING + "t + 1" + ")" * MAX_NESTING
+    assert parse_entry(deepest, 0, T) == parse_entry("t + 1", 0, T)
+    text = "1 + " + "(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(EntryParseError, match=f"nested deeper than {MAX_NESTING}") as info:
+        parse_entry(text, 0, T)
+    assert info.value.offset == 4 + MAX_NESTING
+    assert text[info.value.offset] == "("

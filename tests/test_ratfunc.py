@@ -1,10 +1,23 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 
-from finquot.multipoly import MultiPoly
+from finquot import groups, ratfunc
+from finquot.groups import (
+    GroupSpec,
+    ball_enumerate,
+    cyclic_group,
+    diagonal_group,
+    inverse_label,
+    sanov_group,
+    scaled_difference,
+    word_evaluate,
+)
+from finquot.multipoly import MultiPoly, lead_unit, mp_divexact, mp_gcd
+from finquot.parsing import parse_entry
 from finquot.ratfunc import FieldMatrix, RatFunc
 
 
@@ -132,3 +145,161 @@ def test_matrix_inverse_random():
             continue
         assert (m * m.inverse()).is_identity()
         assert (m.inverse() * m).is_identity()
+
+
+# Oracle for the denominator-1 fast path: the canonicalisation rule without
+# it (always gcd, exact division and lead unit), and the arithmetic built on
+# that rule alone.
+
+
+def _raw(num, den):
+    """A RatFunc holding num/den as given, without running __post_init__."""
+    r = object.__new__(RatFunc)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "den", den)
+    return r
+
+
+def _reference(num, den):
+    if num.is_zero():
+        return _raw(num, MultiPoly.const(num.char, num.nvars, 1))
+    g = mp_gcd(num, den)
+    num, den = mp_divexact(num, g), mp_divexact(den, g)
+    u = lead_unit(den)
+    return _raw(num.scale(u), den.scale(u))
+
+
+def _ref_mul(a, b):
+    return _reference(a.num * b.num, a.den * b.den)
+
+
+def _ref_add(a, b):
+    return _reference(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _ref_neg(a):
+    return _reference(-a.num, a.den)
+
+
+def _ref_matmul(x, y):
+    m = x.size
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            acc = _ref_mul(x.rows[i][0], y.rows[0][j])
+            for k in range(1, m):
+                acc = _ref_add(acc, _ref_mul(x.rows[i][k], y.rows[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return FieldMatrix(rows)
+
+
+def _ref_word(spec, letters):
+    return reduce(lambda acc, label: _ref_matmul(acc, spec.matrix(label)), letters[1:], spec.matrix(letters[0]))
+
+
+def _denominators(char, nvars):
+    """1, -1, 2, a constant other than 1 mod p, and t and t + u where there are variables."""
+    c = lambda v: MultiPoly.const(char, nvars, v)
+    dens = [c(1), c(-1), c(2), c({0: 3, 3: 2, 5: 3}[char])]
+    if nvars:
+        dens.append(MultiPoly.variable(char, nvars, 0))
+    if nvars == 2:
+        dens.append(MultiPoly.variable(char, nvars, 0) + MultiPoly.variable(char, nvars, 1))
+    return dens
+
+
+def _random_fraction(rng, char, nvars):
+    """num/den through the constructor, checked against the reference rule;
+    about a quarter of the numerators are zero."""
+    terms = {tuple(rng.randrange(3) for _ in range(nvars)): rng.randrange(-3, 4) for _ in range(rng.randrange(4))}
+    num = MultiPoly(char, nvars, terms)
+    den = rng.choice(_denominators(char, nvars))
+    r = RatFunc(num, den)
+    _assert_same(r, _reference(num, den))
+    return r
+
+
+def _assert_same(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got == want and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+@pytest.mark.parametrize("nvars", [0, 1, 2])
+def test_arithmetic_matches_the_reference_rule(char, nvars):
+    rng = random.Random(1000 * char + nvars)
+    for _ in range(60):
+        a, b = _random_fraction(rng, char, nvars), _random_fraction(rng, char, nvars)
+        _assert_same(a * b, _ref_mul(a, b))
+        _assert_same(a + b, _ref_add(a, b))
+        _assert_same(a - b, _ref_add(a, _ref_neg(b)))
+        _assert_same(-a, _ref_neg(a))
+    for m in (2, 3):
+        for _ in range(6):
+            x, y = (FieldMatrix([[_random_fraction(rng, char, nvars) for _ in range(m)] for _ in range(m)])
+                    for _ in range(2))
+            got, want = x * y, _ref_matmul(x, y)
+            assert got.rows == want.rows
+            assert got == want and hash(got) == hash(want)
+
+
+def _spec_3x3():
+    """A 3 x 3 group over Q(t, u) with the denominators t + u and u."""
+    variables = ("t", "u")
+    entry = lambda text: parse_entry(text, 0, variables)
+    a = FieldMatrix([[entry(v) for v in row] for row in (("1", "t", "0"), ("0", "1", "1/(t + u)"), ("0", "0", "1"))])
+    b = FieldMatrix([[entry(v) for v in row] for row in (("u", "0", "0"), ("0", "1", "0"), ("1", "0", "1"))])
+    return GroupSpec(0, variables, {"a": a, "b": b})
+
+
+@pytest.mark.parametrize(
+    "make,radius",
+    [
+        (lambda: sanov_group(0), 4),
+        (lambda: sanov_group(3), 5),
+        (cyclic_group, 10),
+        (diagonal_group, 6),
+        (_spec_3x3, 3),
+    ],
+    ids=["sanov-r4", "sanov_f3-r5", "cyclic-r10", "diagonal-r6", "3x3-r3"],
+)
+def test_word_evaluate_matches_the_reference_product(make, radius):
+    spec = make()
+    ident = spec.identity()
+    for label in spec.generators:
+        assert _ref_matmul(spec.matrix(label), spec.matrix(inverse_label(label))) == ident
+    for el in ball_enumerate(spec, radius):
+        want = _ref_word(spec, el.word.letters)
+        for got in (word_evaluate(spec, el.word), el.matrix):
+            assert got.rows == want.rows
+            assert got == want and hash(got) == hash(want)
+
+
+def _count_calls(monkeypatch):
+    """Count ratfunc's gcds and groups' exact divisions from here on."""
+    calls = {"mp_gcd": 0, "mp_divexact": 0}
+    for module, name in ((ratfunc, "mp_gcd"), (groups, "mp_divexact")):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_polynomial_entries_run_no_gcd_and_no_exact_division(sanov, monkeypatch):
+    word = sanov.word("a^60 b^60 a^-60 b^-60")
+    calls = _count_calls(monkeypatch)
+    scaled_difference(sanov, word, word_evaluate(sanov, word))
+    for el in ball_enumerate(sanov, 4):
+        scaled_difference(sanov, el.word, el.matrix)
+    assert calls == {"mp_gcd": 0, "mp_divexact": 0}
+
+
+def test_rational_entries_keep_the_general_path(diagonal, monkeypatch):
+    word = diagonal.word("a^24")
+    calls = _count_calls(monkeypatch)
+    scaled_difference(diagonal, word, word_evaluate(diagonal, word))
+    assert calls["mp_gcd"] > 0 and calls["mp_divexact"] > 0

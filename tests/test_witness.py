@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from finquot.errors import IdentityWordError
+from finquot.errors import FinquotError, IdentityWordError
 from finquot.fields import finite_field
 from finquot.groups import GroupSpec
 from finquot.multipoly import MultiPoly
@@ -386,6 +386,38 @@ def test_separate_raises_when_word_image_collapses(sanov, monkeypatch, capsys):
         separate(sanov, sanov.word("a b"))
     assert main(["witness", "sanov", "--word", "a b"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FinquotError"
+
+
+# The "cannot happen" guards of the two witness constructions, each reached by
+# breaking the one fact it guards.
+
+
+def test_charzero_witness_refuses_a_substitution_that_vanishes_everywhere(monkeypatch):
+    # a zero coefficient, which substitute_sparse always drops, vanishes at every point
+    monkeypatch.setattr(MultiPoly, "substitute_sparse", lambda self, exponents: {1: 0})
+    with pytest.raises(FinquotError, match="^a degree-r polynomial cannot vanish at r\\+1 points$"):
+        charzero_witness(MultiPoly.variable(0, 1, 0))
+
+
+def test_charzero_witness_refuses_a_value_past_the_evaluation_bound(monkeypatch):
+    # a negative degree, which no substitution produces, lets 5 + 1^-3 outgrow (0+1) * 1^0 * 5
+    monkeypatch.setattr(MultiPoly, "substitute_sparse", lambda self, exponents: {0: 5, -3: 1})
+    with pytest.raises(FinquotError, match="^evaluation bound violated$"):
+        charzero_witness(MultiPoly.variable(0, 1, 0))
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_witnesses_refuse_a_hom_that_kills_f(char, monkeypatch):
+    construct = charp_witness if char else charzero_witness
+    monkeypatch.setattr(FieldHom, "apply", lambda self, f: 0)
+    with pytest.raises(FinquotError, match="^witness construction failed to preserve f$"):
+        construct(MultiPoly.variable(char, 1, 0) + MultiPoly.const(char, 1, 1))
+
+
+def test_charp_witness_refuses_a_scan_past_the_factor_count_bound():
+    # with no irreducible of any degree on offer, the scan runs past deg(g) + 1
+    with pytest.raises(FinquotError, match="^degree scan must terminate by the factor-count bound$"):
+        charp_witness(MultiPoly.variable(3, 1, 0), irreducibles=lambda p, ell: ())
 
 
 _OPTIMIZED_CHECKS = """
