@@ -379,7 +379,6 @@ def test_separate_raises_when_word_image_collapses(sanov, monkeypatch, capsys):
 
     from finquot import witness
     from finquot.cli import main
-    from finquot.errors import FinquotError
 
     monkeypatch.setattr(witness, "word_image", _word_image_to_identity)
     with pytest.raises(FinquotError, match="failed to move the word off the identity"):
