@@ -367,30 +367,30 @@ def inequality_audit(n_max: int) -> AuditReport:
     """Pigeonhole instantiation for the integers: 2n+1 <= F(n)^F(n).
 
     The exponent is s(F(n)) with s(k) = k for the infinite cyclic group.
-    Exact arithmetic; the reported ratio is the slack F(n)^F(n) / (2n+1).
+    F(n) = k on lcm(1..k-1) <= n < lcm(1..k), where 2n+1 grows and k^k does
+    not, so an interval's failures are a suffix of it and its slack k^k / (2n+1)
+    is least at its last n <= n_max: O(log n_max) ends, compared exactly, and
+    only the reported minimum slack is a float.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     failures = []
-    min_ratio, min_at = math.inf, 0
-    f, m, next_l = 2, 1, 2
-    for n in range(1, n_max + 1):
-        while next_l <= n:
-            m += 1
-            next_l = math.lcm(next_l, m + 1)
-            f = m + 1
-        w = 2 * n + 1
-        bound = f**f
-        if w > bound:
-            failures.append(n)
-        ratio = bound / w
-        if ratio < min_ratio:
-            min_ratio, min_at = ratio, n
+    best_bound, best_w, min_at = 0, 1, 0
+    lo, f, acc = 1, 2, 2  # F = f on lo <= n < acc = lcm(1..f)
+    while lo <= n_max:
+        hi = min(acc - 1, n_max)
+        if lo <= hi:
+            bound, w = f**f, 2 * hi + 1
+            # 2n+1 > bound iff n >= (bound + 1) // 2
+            failures.extend(range(max(lo, (bound + 1) // 2), hi + 1))
+            if not min_at or bound * best_w < best_bound * w:
+                best_bound, best_w, min_at = bound, w, hi
+        lo, f, acc = acc, f + 1, math.lcm(acc, f + 1)
     return AuditReport(
         n_max=n_max,
         all_pass=not failures,
         failures=tuple(failures),
-        min_ratio=min_ratio,
+        min_ratio=best_bound / best_w,
         min_ratio_at=min_at,
     )
 

@@ -90,7 +90,7 @@ class UniPoly:
         return UniPoly(self.char, tuple(c * a for a in self.coeffs))
 
     def monic(self) -> "UniPoly":
-        if not self.coeffs:
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
         return self.scale(pow(self.coeffs[-1], -1, self.char))
 
@@ -124,8 +124,10 @@ class UniPoly:
         return a.monic() if a.coeffs else a
 
     def powmod(self, e: int, mod: "UniPoly") -> "UniPoly":
-        """self**e mod `mod` over F_p, for e >= 0."""
-        return power(self % mod, e, lambda a, b: a * b % mod, UniPoly.const(self.char, 1))
+        """self**e mod `mod` over F_p, for e >= 0, powered on tuples mod monic(mod)."""
+        p, h = self.char, mod.monic()
+        base = (self % h).coeffs
+        return UniPoly(p, power(base, e, lambda a, b: _mulmod(a, b, h.coeffs, p), (1,)))
 
     def render(self, name: str = "x") -> str:
         """Human form, highest degree first, e.g. '2*x^3 + x + 1'."""
@@ -146,6 +148,22 @@ class UniPoly:
     def _check(self, other: "UniPoly") -> None:
         if self.char != other.char:
             raise ValueError("characteristic mismatch")
+
+
+def _mulmod(a: tuple[int, ...], b: tuple[int, ...], h: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a * b mod h over F_p on lowest-first coefficient tuples, for a monic h of
+    degree n: n residues in [0, p), trailing zeros kept."""
+    n = len(h) - 1
+    prod = [0] * (len(a) + len(b) + n)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            prod[i + j] += c * d
+    for i in range(len(prod) - 1, n - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(n):
+                prod[i - n + j] -= c * h[j]
+    return tuple(c % p for c in prod[:n])
 
 
 def gauss_irreducible_count(p: int, ell: int) -> int:

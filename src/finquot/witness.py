@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import primes, smallest_prime_not_dividing
+from .algebra import power, primes, smallest_prime_not_dividing
 from .errors import FinquotError, IdentityWordError
 from .fields import Field, finite_field
 from .groups import GroupSpec, Word, inverse_label, scaled_difference, word_evaluate
 from .multipoly import MultiPoly, substitution_exponents
 from .ratfunc import FieldMatrix
-from .unipoly import UniPoly, enumerate_irreducibles
+from .unipoly import UniPoly, _mulmod, enumerate_irreducibles
 
 ORDER_BUDGET = 200_000
 
@@ -272,12 +272,15 @@ def charp_witness(f: MultiPoly, irreducibles=enumerate_irreducibles) -> FieldHom
 
 
 def _sparse_mod(g: dict[int, int], h: UniPoly) -> dict[int, int]:
-    """g mod h for sparse g, via per-monomial powmod; empty dict means h | g."""
-    x = UniPoly.x(h.char)
-    acc = UniPoly.zero(h.char)
+    """g mod h for sparse g and deg h > 0, as the sum of c * (x^d mod h) on tuples,
+    never dense in the degree of g; empty dict means h | g."""
+    p, hc = h.char, h.monic().coeffs
+    x = _mulmod((0, 1), (1,), hc, p)
+    acc = [0] * h.degree
     for d, c in g.items():
-        acc = acc + x.powmod(d, h).scale(c)
-    return {i: c for i, c in enumerate(acc.coeffs) if c}
+        for i, a in enumerate(power(x, d, lambda a, b: _mulmod(a, b, hc, p), (1,))):
+            acc[i] += c * a
+    return {i: c % p for i, c in enumerate(acc) if c % p}
 
 
 def polynomial_witness(
@@ -443,50 +446,69 @@ def stabilizer_chain_order(pairs, field: Field, m: int, budget: int) -> tuple[in
     """Order of the group generated by (g, g^-1) pairs of m x m matrices, by a
     deterministic Schreier-Sims stabilizer chain (Sims 1970; Butler 1976).
 
-    The group acts on row vectors with the standard basis as its base: the
-    image of e_k under g is row k of g.  Level k holds the strong generators
-    that fix e_0..e_{k-1}, the orbit of e_k under them, and a transversal
-    mapping each orbit point to a pair (u, u^-1) with e_k u = point.  Every
-    (orbit point, strong generator) pair is handled once: it extends the
-    orbit or yields a Schreier generator, which is sifted through the deeper
-    levels; a residue that does not sift becomes a strong generator of the
-    levels k+1..j whose base points it fixes.  Transversal entries never
-    change, so a pair that sifted once stays sifted, and once every pair is
-    handled the order is the product of the orbit lengths.  That product is
-    a lower bound on the order throughout, so the result is (order, True)
-    iff the order is at most budget, and (a lower bound above budget, False)
-    otherwise.
+    The group acts on row vectors with the standard base for matrix groups
+    (Murray & O'Brien 1995): the lines [e_0], ..., [e_{m-1}]; the line of
+    (1, ..., 1), whose stabilizer in the diagonal matrices is the scalars; and
+    the vector e_0, whose stabilizer in the scalars is trivial.  A line is its
+    vector scaled to a first nonzero coordinate of 1; the image of base point k
+    under g is row k of g (the sum of the rows for (1, ..., 1)), so scaled.
+    Level k holds the strong generators that fix base points 0..k-1, the orbit
+    of base point k under them, and a transversal mapping each orbit point to
+    a pair (u, u^-1) with u carrying the base point to it.  Every (orbit point,
+    strong generator) pair is handled once: it extends the orbit or yields a
+    Schreier generator, which is sifted through the deeper levels; a residue
+    that does not sift becomes a strong generator of the levels k+1..j whose
+    base points it fixes.  Transversal entries never change, so a pair that
+    sifted once stays sifted, and once every pair is handled the order is the
+    product of the orbit lengths.  That product is a lower bound on the order
+    throughout, so the result is (order, True) iff the order is at most budget,
+    and (a lower bound above budget, False) otherwise.
     """
-    mul = field.product(m)
+    mul, add, scale, inv = field.product(m), field.add, field.mul, field.inv
     ident = field.identity(m)
-    base = [ident[k * m:(k + 1) * m] for k in range(m)]
-    strong = [list(pairs)] + [[] for _ in range(m - 1)]
-    trans = [{base[k]: (ident, ident)} for k in range(m)]
-    orbits = [[base[k]] for k in range(m)]
+    top = m + 1  # the level of the vector e_0
+
+    def image(h, k):
+        """The image of base point k under h."""
+        if k == top:
+            return h[:m]
+        if k < m:
+            v = h[k * m:(k + 1) * m]
+        else:
+            v = h[:m]
+            for i in range(m, m * m, m):
+                v = tuple(map(add, v, h[i:i + m]))
+        lead = next(filter(None, v))
+        return v if lead == 1 else tuple(map(scale, itertools.repeat(inv(lead), m), v))
+
+    levels = range(m + 2)
+    base = [image(ident, k) for k in levels]
+    strong = [list(pairs)] + [[] for _ in range(top)]
+    trans = [{base[k]: (ident, ident)} for k in levels]
+    orbits = [[base[k]] for k in levels]
     # paired[k][i]: how many of strong[k] orbit point i has been paired with
-    paired = [[0] for _ in range(m)]
+    paired = [[0] for _ in levels]
     size = 1
 
     def sift(h, k):
-        """(residue, level it fails at, transversal elements divided out); level m if h sifts."""
+        """(residue, level it fails at, transversal elements divided out); level m + 2 if h sifts."""
         used = []
-        for j in range(k, m):
-            point = h[j * m:(j + 1) * m]
+        for j in range(k, m + 2):
+            point = image(h, j)
             if point == base[j]:
                 continue
             entry = trans[j].get(point)
             if entry is None:
                 return h, j, used
-            if j < m - 1:
+            if j < top:
                 h = mul(h, entry[1])
                 used.append(entry[0])
-        return h, m, used
+        return h, m + 2, used
 
     def complete(k):
         """Handle every pair at level k; False as soon as the orbit product passes budget."""
         nonlocal size
         gens, table, orbit, done = strong[k], trans[k], orbits[k], paired[k]
-        lo, hi = k * m, (k + 1) * m
         i = 0
         while i < len(orbit):
             u, u_inv = table[orbit[i]]
@@ -494,7 +516,7 @@ def stabilizer_chain_order(pairs, field: Field, m: int, budget: int) -> tuple[in
                 s, s_inv = gens[done[i]]
                 done[i] += 1
                 us = mul(u, s)
-                point = us[lo:hi]
+                point = image(us, k)
                 entry = table.get(point)
                 if entry is None:
                     table[point] = (us, mul(s_inv, u_inv))
@@ -504,10 +526,10 @@ def stabilizer_chain_order(pairs, field: Field, m: int, budget: int) -> tuple[in
                     if size > budget:
                         return False
                     continue
-                if k == m - 1:
-                    continue  # the stabilizer of the whole basis is trivial
+                if k == top:
+                    continue  # the stabilizer of the whole base is trivial
                 h, j, used = sift(mul(us, entry[1]), k + 1)
-                if j == m:
+                if j == m + 2:
                     continue
                 h_inv = mul(entry[0], mul(s_inv, u_inv))
                 for v in used:

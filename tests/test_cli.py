@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import time
 
 import pytest
 
@@ -206,6 +208,35 @@ def test_audit_z(capsys):
     assert lines[0] == "audit group=Z n_max=1000"
     assert lines[1] == "all_pass=true"
     assert lines[2].startswith("min_ratio=1.333333 at_n=1")
+
+
+def test_audit_z_answers_at_once_for_huge_n(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "audit-z", "--max", str(10**100))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == f"audit group=Z n_max={10**100}\nall_pass=true\nmin_ratio=1.333333 at_n=1\n"
+
+
+def test_audit_z_reports_failures(capsys, monkeypatch):
+    # an lcm that grows too fast, so that F(n)^F(n) < 2n+1 for 14 <= n <= 59
+    monkeypatch.setattr(math, "lcm", lambda a, b: 10 * a * b)
+    code, out, _ = run(capsys, "audit-z", "--max", "100")
+    assert code == 1
+    assert out.split("\n")[1:3] == ["all_pass=false", "failures=" + ",".join(map(str, range(14, 60)))]
+
+
+def test_one_by_one_spec_certifies_and_verifies(tmp_path, capsys):
+    # the 1x1 inverse branch; a^-4 is the is_identity defect and is left out
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({"characteristic": 0, "variables": ["t"], "generators": {"a": [["t+1"]]}}))
+    for word, order in (("a", 2), ("a^6", 4)):
+        out = tmp_path / "w.json"
+        code, _, err = run(capsys, "witness", str(spec), "--word", word, "--out", str(out))
+        assert (code, err) == (0, "")
+        payload = json.loads(out.read_text())
+        assert (payload["image_order"], payload["image_order_exact"]) == (order, True)
+        assert run(capsys, "verify", str(spec), str(out)) == (0, "ok\n", "")
 
 
 def test_threshold_command(tmp_path, capsys):

@@ -61,6 +61,21 @@ def test_group_spec_refuses_singular_generator():
         GroupSpec(0, (), generators)
 
 
+def test_group_spec_refusals():
+    one1, one0 = RatFunc.const(0, 1, 1), RatFunc.const(0, 0, 1)
+    one3 = RatFunc.const(3, 0, 1)
+    with pytest.raises(ValueError, match="^at least one generator required$"):
+        GroupSpec(0, (), {})
+    with pytest.raises(ValueError, match="^generators must share one size$"):
+        GroupSpec(0, (), {"a": FieldMatrix(((one0,),)), "b": FieldMatrix.identity(0, 0, 2)})
+    with pytest.raises(ValueError, match="^bad generator label '2a'$"):
+        GroupSpec(0, (), {"2a": FieldMatrix(((one0,),))})
+    with pytest.raises(ValueError, match="^generator 'a' has wrong coefficient domain$"):
+        GroupSpec(0, ("t",), {"a": FieldMatrix(((one0,),))})
+    with pytest.raises(ValueError, match="^generator 'b' has wrong coefficient domain$"):
+        GroupSpec(0, ("t",), {"a": FieldMatrix(((one1,),)), "b": FieldMatrix(((one3,),))})
+
+
 def test_word_evaluate_sanov(sanov):
     m = word_evaluate(sanov, sanov.word("a b"))
     names = sanov.variables

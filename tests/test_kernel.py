@@ -1,6 +1,6 @@
 """The unrolled 2x2 field kernel, checked against the generic Field.mat_mul
-it replaces, and the stabilizer-chain image order, checked against the
-element closure it replaces."""
+it replaces, and the stabilizer-chain image order on lines, checked against
+the element closure and against the chain on vectors that it replaces."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 
 from finquot.algebra import is_prime
 from finquot.fields import finite_field
-from finquot.groups import GroupSpec
+from finquot.groups import GroupSpec, inverse_label
 from finquot.multipoly import MultiPoly
 from finquot.ratfunc import FieldMatrix, RatFunc
 from finquot.unipoly import enumerate_irreducibles
@@ -56,6 +56,72 @@ def closure_order(gens, field, m, budget):
                     push(cand)
         frontier = nxt
     return len(seen), True
+
+
+def vector_chain_order(pairs, field, m, budget):
+    """The Schreier-Sims chain on row vectors with the base e_0, ..., e_{m-1}:
+    the second oracle for stabilizer_chain_order, which acts on lines."""
+    mul = field.product(m)
+    ident = field.identity(m)
+    base = [ident[k * m:(k + 1) * m] for k in range(m)]
+    strong = [list(pairs)] + [[] for _ in range(m - 1)]
+    trans = [{base[k]: (ident, ident)} for k in range(m)]
+    orbits = [[base[k]] for k in range(m)]
+    paired = [[0] for _ in range(m)]
+    size = 1
+
+    def sift(h, k):
+        used = []
+        for j in range(k, m):
+            point = h[j * m:(j + 1) * m]
+            if point == base[j]:
+                continue
+            entry = trans[j].get(point)
+            if entry is None:
+                return h, j, used
+            if j < m - 1:
+                h = mul(h, entry[1])
+                used.append(entry[0])
+        return h, m, used
+
+    def complete(k):
+        nonlocal size
+        gens, table, orbit, done = strong[k], trans[k], orbits[k], paired[k]
+        i = 0
+        while i < len(orbit):
+            u, u_inv = table[orbit[i]]
+            while done[i] < len(gens):
+                s, s_inv = gens[done[i]]
+                done[i] += 1
+                us = mul(u, s)
+                point = us[k * m:(k + 1) * m]
+                entry = table.get(point)
+                if entry is None:
+                    table[point] = (us, mul(s_inv, u_inv))
+                    orbit.append(point)
+                    done.append(0)
+                    size = size // (len(orbit) - 1) * len(orbit)
+                    if size > budget:
+                        return False
+                    continue
+                if k == m - 1:
+                    continue
+                h, j, used = sift(mul(us, entry[1]), k + 1)
+                if j == m:
+                    continue
+                h_inv = mul(entry[0], mul(s_inv, u_inv))
+                for v in used:
+                    h_inv = mul(v, h_inv)
+                for level in range(k + 1, j + 1):
+                    strong[level].append((h, h_inv))
+                for level in range(j, k, -1):
+                    if not complete(level):
+                        return False
+            i += 1
+        return True
+
+    exact = complete(0)
+    return size, exact
 
 
 def _reference_closure(gens, field, m, budget):
@@ -180,6 +246,55 @@ def test_stabilizer_chain_matches_closure(p, degree, m):
         if order > 1:
             lower, flag = stabilizer_chain_order(pairs, field, m, order - 1)
             assert not flag and lower == order
+
+
+def _check_against_vector_chain(pairs, field, m):
+    """Both chains give the same order and flag at ORDER_BUDGET, and at budget
+    order - 1 the line chain stops at exactly the order."""
+    order, exact = vector_chain_order(pairs, field, m, ORDER_BUDGET)
+    got = stabilizer_chain_order(pairs, field, m, ORDER_BUDGET)
+    assert got[1] == exact
+    if not exact:
+        assert got[0] > ORDER_BUDGET
+        return None
+    assert got == (order, True)
+    if order > 1:
+        assert stabilizer_chain_order(pairs, field, m, order - 1) == (order, False)
+    return order
+
+
+@pytest.mark.parametrize(
+    "p,degree,m", [(p, degree, 2) for p, degree in FIELDS] + [(2, 1, 3), (3, 1, 3), (5, 1, 3)]
+)
+def test_line_chain_matches_vector_chain(p, degree, m):
+    field = _field(p, degree)
+    for pairs in _generator_sets(field, m):
+        _check_against_vector_chain(pairs, field, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m", [1, 3])
+def test_line_chain_on_random_pairs(p, m):
+    # for m = 1 both line levels are trivial and only the level of e_0 counts
+    field = _field(p)
+    rng = random.Random(100 * p + m)
+    for count in (1, 2, 2, 3):
+        if m == 1:
+            units = [rng.randrange(1, field.q) for _ in range(count)]
+            pairs = [((a,), (field.inv(a),)) for a in units]
+        else:
+            pairs = [_random_pair(rng, field, m) for _ in range(count)]
+        order = _check_against_vector_chain(pairs, field, m)
+        if m == 1 or field.q ** (m * m) <= 10**6:
+            assert (order, True) == closure_order([g for g, _ in pairs], field, m, ORDER_BUDGET)
+
+
+def test_line_chain_on_every_scan_hom(sanov, sanov3, sanov_scanner, sanov3_scanner):
+    for spec, scanner in ((sanov, sanov_scanner), (sanov3, sanov3_scanner)):
+        for hom in scanner.homs:
+            ims = hom.images
+            pairs = [(ims[label], ims[inverse_label(label)]) for label in spec.base_labels]
+            assert _check_against_vector_chain(pairs, hom.field, spec.size) == hom.order
 
 
 def test_default_scanner_totals(sanov_scanner, sanov3_scanner):

@@ -10,6 +10,7 @@ from finquot.algebra import dz, is_prime, next_prime
 from finquot.errors import BudgetExceeded, NotFoundWithinBudget
 from finquot.groups import ball_enumerate, sanov_group
 from finquot.profiler import (
+    AuditReport,
     ReductionBudget,
     ReductionScanner,
     divisor_sum,
@@ -290,6 +291,55 @@ def test_inequality_audit():
     assert report.failures == ()
     assert report.min_ratio_at == 1
     assert abs(report.min_ratio - 3 / 4) < 1e-12 or report.min_ratio >= 1
+
+
+def _audit_loop(n_max, keep=lambda n: True):
+    """The per-n loop that inequality_audit replaced: yields its report for
+    every N <= n_max that keep accepts, in one pass."""
+    failures = []
+    min_ratio, min_at = math.inf, 0
+    f, m, next_l = 2, 1, 2
+    for n in range(1, n_max + 1):
+        while next_l <= n:
+            m += 1
+            next_l = math.lcm(next_l, m + 1)
+            f = m + 1
+        w = 2 * n + 1
+        bound = f**f
+        if w > bound:
+            failures.append(n)
+        ratio = bound / w
+        if ratio < min_ratio:
+            min_ratio, min_at = ratio, n
+        if keep(n):
+            yield AuditReport(n, not failures, tuple(failures), min_ratio, min_at)
+
+
+def test_inequality_audit_matches_the_per_n_loop():
+    checked = 0
+    for expected in _audit_loop(10_000):
+        assert inequality_audit(expected.n_max) == expected
+        checked += 1
+    assert checked == 10_000
+    [expected] = _audit_loop(10**6, keep=lambda n: n == 10**6)
+    assert inequality_audit(10**6) == expected
+
+
+def test_inequality_audit_lists_failures_as_interval_suffixes(monkeypatch):
+    # no failure exists, since lcm(1..k) < 3^k; an lcm that grows faster keeps
+    # F(n) = 3 on [2, 59], where 2n+1 > 27 from n = 14 on
+    monkeypatch.setattr(math, "lcm", lambda a, b: 10 * a * b)
+    for expected in _audit_loop(3000):
+        assert inequality_audit(expected.n_max) == expected
+    report = inequality_audit(100)
+    assert (report.all_pass, report.failures) == (False, tuple(range(14, 60)))
+
+
+def test_inequality_audit_past_every_float():
+    # 172^172 / w no longer fits a float, so the ratios are compared exactly
+    report = inequality_audit(10**100)
+    assert (report.all_pass, report.failures, report.min_ratio_at) == (True, (), 1)
+    assert report.min_ratio == 4 / 3
 
 
 def test_threshold_check(cyclic):

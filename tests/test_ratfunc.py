@@ -131,6 +131,21 @@ def test_matrix_det_and_singular():
         singular.inverse()
 
 
+def test_matrix_must_be_square():
+    one = RatFunc.const(0, 1, 1)
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        FieldMatrix(((one, one), (one,)))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        FieldMatrix(((one, one),))
+
+
+def test_matrix_inverse_1x1():
+    t1 = RatFunc.of_poly(t_var() + c_poly(1))
+    inv = FieldMatrix(((t1,),)).inverse()
+    assert inv.rows[0][0] == t1.inverse()
+    assert (FieldMatrix(((t1,),)) * inv).is_identity()
+
+
 def test_matrix_inverse_random():
     rng = random.Random(43)
     one = RatFunc.const(0, 1, 1)

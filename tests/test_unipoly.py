@@ -12,6 +12,7 @@ from finquot.fields import finite_field
 from finquot.multipoly import MultiPoly
 from finquot.unipoly import (
     UniPoly,
+    _mulmod,
     enumerate_irreducibles,
     gauss_irreducible_count,
     is_irreducible,
@@ -180,6 +181,34 @@ def test_irreducibility_against_factor_search():
                     has_factor = True
                     break
             assert is_irreducible(f) == (not has_factor)
+
+
+def _old_powmod(base, e, mod):
+    """The UniPoly powering rule that powmod replaced."""
+    return power(base % mod, e, lambda a, b: a * b % mod, UniPoly.const(base.char, 1))
+
+
+def test_powmod_matches_the_old_rule():
+    # non-monic and constant moduli included; e = 0 gives 1 unreduced, as before
+    rng = random.Random(23)
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            base = poly(p, *[rng.randrange(p) for _ in range(rng.randrange(0, 7))])
+            mod = poly(p, *[rng.randrange(p) for _ in range(rng.randrange(0, 5))] + [rng.randrange(1, p)])
+            for e in (0, 1, 2, rng.randrange(3, 50), rng.randrange(10**6, 10**9)):
+                assert base.powmod(e, mod) == _old_powmod(base, e, mod), (base, e, mod)
+    assert poly(3, 0, 1).powmod(0, poly(3, 2)) == poly(3, 1)
+    with pytest.raises(ZeroDivisionError):
+        poly(3, 0, 1).powmod(2, poly(3))
+
+
+def test_mulmod_matches_unipoly_product():
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7):
+        for _ in range(80):
+            h = poly(p, *[rng.randrange(p) for _ in range(rng.randrange(0, 5))], 1)
+            a, b = (poly(p, *[rng.randrange(p) for _ in range(rng.randrange(0, 7))]) for _ in range(2))
+            assert UniPoly(p, _mulmod(a.coeffs, b.coeffs, h.coeffs, p)) == a * b % h
 
 
 X = sympy.Symbol("x")

@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+import sympy
 
 from finquot.errors import FinquotError, IdentityWordError
 from finquot.fields import finite_field
@@ -12,9 +13,11 @@ from finquot.multipoly import MultiPoly
 from finquot.profiler import ReductionBudget
 from finquot.ratfunc import FieldMatrix, RatFunc
 from finquot.unipoly import UniPoly, gauss_irreducible_count
+from finquot.algebra import power
 from finquot.witness import (
     ORDER_BUDGET,
     FieldHom,
+    _sparse_mod,
     chain_prime_bound,
     charp_witness,
     charzero_witness,
@@ -124,6 +127,39 @@ def test_charp_degree_within_count_bound():
         while gauss_irreducible_count(p, cap) <= max(g) / cap:
             cap += 1
         assert hom.modulus.degree <= cap
+
+
+def _old_sparse_mod(g, h):
+    """The per-monomial UniPoly sum that _sparse_mod replaced."""
+    x = UniPoly.x(h.char)
+    acc = UniPoly.zero(h.char)
+    for d, c in g.items():
+        acc = acc + power(x % h, d, lambda a, b: a * b % h, UniPoly.const(h.char, 1)).scale(c)
+    return {i: c for i, c in enumerate(acc.coeffs) if c}
+
+
+def _sympy_rem(g, h):
+    x = sympy.Symbol("x")
+    p = h.char
+    top = max(g)
+    dense = [g.get(d, 0) for d in range(top, -1, -1)]
+    r = sympy.rem(sympy.Poly(dense, x, modulus=p), sympy.Poly(list(reversed(h.coeffs)), x, modulus=p))
+    return {i: int(c) % p for i, c in enumerate(reversed(r.all_coeffs())) if int(c) % p}
+
+
+def test_sparse_mod_matches_old_sum_and_sympy():
+    # seeded sparse g with up to four terms; h of degree 1..4, monic or not
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            h = UniPoly(p, tuple(rng.randrange(p) for _ in range(rng.randrange(1, 5))) + (rng.randrange(1, p),))
+            small = {rng.randrange(300): rng.randrange(-2 * p, 2 * p) or 1 for _ in range(rng.randrange(1, 5))}
+            assert _sparse_mod(small, h) == _old_sparse_mod(small, h) == _sympy_rem(small, h), (small, h)
+            big = {rng.randrange(10**6, 10**12): rng.randrange(1, p) for _ in range(rng.randrange(1, 5))}
+            big[rng.randrange(7)] = rng.randrange(1, p)
+            assert _sparse_mod(big, h) == _old_sparse_mod(big, h), (big, h)
+    # h | g: x^2 + x = x (x + 1) over F_2
+    assert _sparse_mod({2: 1, 1: 1}, UniPoly(2, (1, 1))) == {}
 
 
 def test_polynomial_witness_dispatch():
