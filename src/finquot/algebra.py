@@ -101,10 +101,7 @@ def primes() -> Iterator[int]:
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
-    for p in primes():
-        if p > n:
-            return p
-    raise AssertionError("unreachable")
+    return next(p for p in primes() if p > n)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -140,10 +137,7 @@ def smallest_prime_not_dividing(i: int, excluded: frozenset[int] | set[int] = fr
     if i == 0:
         raise ValueError("every prime divides 0")
     i = abs(i)
-    for p in primes():
-        if p not in excluded and i % p != 0:
-            return p
-    raise AssertionError("unreachable")
+    return next(p for p in primes() if p not in excluded and i % p != 0)
 
 
 def dz(i: int) -> int:

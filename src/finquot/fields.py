@@ -3,9 +3,12 @@
 A prime field (modulus None) encodes an element as its least nonnegative
 residue mod p.  An extension F_p[x]/(h) encodes c_0 + c_1 x + ... +
 c_{d-1} x^(d-1) as the base-p integer c_0 + c_1 p + ... + c_{d-1} p^(d-1)
-and does its arithmetic by q x q tables.  In both, 0 and 1 encode zero and
-one, and an integer n embeds as n mod p.  finite_field() builds one Field
-per (p, modulus) and caches it, so tables are built once per process.
+(_pack, the one packing) and does its arithmetic by q x q tables, filled
+from the digit tuples by the F_p[x] kernel unipoly._mulmod and by digit-wise
+addition mod p; encode reduces through the same kernel.  In both, 0 and 1
+encode zero and one, and an integer n embeds as n mod p.  finite_field()
+builds one Field per (p, modulus) and caches it, so tables are built once
+per process.
 
 Matrices over F_q are flat row-major tuples of encoded elements, so image
 orders and word images run on machine integers.  Every product goes through
@@ -20,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import check_prime, power
-from .unipoly import UniPoly, is_irreducible
+from .unipoly import UniPoly, _mulmod, is_irreducible
 
 
 class Field:
@@ -34,7 +37,6 @@ class Field:
             self.q = p
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: a * b % p
-            self.neg = lambda a: -a % p
 
             def mul2(a, b):
                 a0, a1, a2, a3 = a
@@ -53,17 +55,18 @@ class Field:
         if not modulus.is_monic() or not is_irreducible(modulus):
             raise ValueError("modulus must be monic irreducible over F_p")
         q = self.q = p**modulus.degree
-        polys = [UniPoly(p, self.coeffs(v)) for v in range(q)]
-        code = {f: v for v, f in enumerate(polys)}
+        h, digits = modulus.coeffs, [self.coeffs(v) for v in range(q)]
+        # cells index one shared int per element, not a fresh int per cell
+        elements = list(range(q))
         mul_table = [[0] * q for _ in range(q)]
         add_table = [[0] * q for _ in range(q)]
-        for a in range(q):
+        for a, da in enumerate(digits):
             for b in range(a, q):
-                mul_table[a][b] = mul_table[b][a] = code[polys[a] * polys[b] % modulus]
-                add_table[a][b] = add_table[b][a] = code[polys[a] + polys[b]]
+                db = digits[b]
+                mul_table[a][b] = mul_table[b][a] = elements[_pack(_mulmod(da, db, h, p), p)]
+                add_table[a][b] = add_table[b][a] = elements[_pack([(c + d) % p for c, d in zip(da, db)], p)]
         self.add = lambda a, b: add_table[a][b]
         self.mul = lambda a, b: mul_table[a][b]
-        self.neg = [code[-f] for f in polys].__getitem__
 
         def mul2(a, b):
             a0, a1, a2, a3 = a
@@ -83,10 +86,7 @@ class Field:
         first (extension field); both may be non-canonical."""
         if self.modulus is None:
             return value % self.p
-        v = 0
-        for c in reversed((UniPoly(self.p, tuple(value)) % self.modulus).coeffs):
-            v = v * self.p + c
-        return v
+        return _pack(_mulmod(tuple(value), (1,), self.modulus.coeffs, self.p), self.p)
 
     def coeffs(self, v: int) -> tuple[int, ...]:
         """The deg(modulus) coefficients, lowest first, of an extension-field element."""
@@ -136,6 +136,14 @@ class Field:
         if m == 2:
             return self.mul2
         return lambda a, b: self.mat_mul(a, b, m)
+
+
+def _pack(digits, p: int) -> int:
+    """The base-p integer whose digits, lowest first, are the given residues."""
+    v = 0
+    for c in reversed(digits):
+        v = v * p + c
+    return v
 
 
 @lru_cache(maxsize=None)

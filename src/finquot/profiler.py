@@ -133,7 +133,9 @@ class ReductionScanner:
 
         The second component certifies exhaustiveness: True means no
         homomorphism outside the budget can have a smaller nontrivial image,
-        by the structural floor documented in _quotient_floor.
+        by the structural floor documented in _quotient_floor.  It covers
+        specialisations into GL(m, F_q) only, not every finite quotient: for
+        cyclic, a^6 gives 5 where farb_z gives 4, because Z/4 separates it.
         """
         size = self.size
         for scan in self.homs:

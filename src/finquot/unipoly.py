@@ -1,12 +1,17 @@
 """Univariate polynomials over F_p, with lowest-degree-first coefficients.
 
-The zero polynomial is the empty coefficient tuple and has degree -1, and
-coefficients are canonical residues in [0, p).  These are the moduli and
-irreducibles of the witness construction; a substituted polynomial, whose
-degree can be enormous, stays a sparse dict (MultiPoly.substitute_sparse).
-The irreducibility test is Rabin's deterministic criterion; enumeration of monic
-irreducibles walks coefficient tuples (constant term first) in lexicographic
-order, which fixes the "first irreducible" used by witness construction.
+UniPoly is the validated, hashable record of a modulus or an irreducible: a
+prime characteristic and canonical residues in [0, p) with no trailing zero
+(the zero polynomial is the empty tuple, of degree -1).  It keeps no
+arithmetic.  All F_p[x] arithmetic runs on plain coefficient tuples through
+one kernel: _mulmod is the product modulo a monic h, and with b = (1,) the
+remainder; _powmod powers through algebra.power; _gcd is Euclid's algorithm
+on the remainder.  Field tables, Field.encode, the witness modulus test and
+Rabin's irreducibility test all go through it.  A substituted polynomial,
+whose degree can be enormous, stays a sparse dict (MultiPoly.substitute_sparse).
+Enumeration of monic irreducibles walks coefficient tuples (constant term
+first) in lexicographic order, which fixes the "first irreducible" used by
+witness construction.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ IRREDUCIBLE_ENUM_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class UniPoly:
-    """A polynomial in one variable over F_p; field operations need p prime."""
+    """A polynomial in one variable over F_p, for a prime p."""
 
     char: int
     coeffs: tuple[int, ...]
@@ -34,100 +39,12 @@ class UniPoly:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def zero(cls, char: int) -> "UniPoly":
-        return cls(char, ())
-
-    @classmethod
-    def const(cls, char: int, c: int) -> "UniPoly":
-        return cls(char, (c,))
-
-    @classmethod
-    def x(cls, char: int) -> "UniPoly":
-        return cls(char, (0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return UniPoly(self.char, tuple(cs))
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(self.char, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero(self.char)
-        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    cs[i + j] += a * b
-        return UniPoly(self.char, tuple(cs))
-
-    def scale(self, c: int) -> "UniPoly":
-        return UniPoly(self.char, tuple(c * a for a in self.coeffs))
-
-    def monic(self) -> "UniPoly":
-        if not self.coeffs or self.coeffs[-1] == 1:
-            return self
-        return self.scale(pow(self.coeffs[-1], -1, self.char))
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        self._check(other)
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.char
-        inv = pow(other.coeffs[-1], -1, p)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly.zero(p), self
-        quo = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] * inv % p
-            if c:
-                quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = (rem[i + j] - c * b) % p
-        return UniPoly(p, tuple(quo)), UniPoly(p, tuple(rem))
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd over F_p."""
-        a, b = self, other
-        while b.coeffs:
-            a, b = b, a % b
-        return a.monic() if a.coeffs else a
-
-    def powmod(self, e: int, mod: "UniPoly") -> "UniPoly":
-        """self**e mod `mod` over F_p, for e >= 0, powered on tuples mod monic(mod)."""
-        p, h = self.char, mod.monic()
-        base = (self % h).coeffs
-        return UniPoly(p, power(base, e, lambda a, b: _mulmod(a, b, h.coeffs, p), (1,)))
 
     def render(self, name: str = "x") -> str:
         """Human form, highest degree first, e.g. '2*x^3 + x + 1'."""
@@ -145,14 +62,11 @@ class UniPoly:
                 parts.append(var if c == 1 else f"{c}*{var}")
         return " + ".join(parts)
 
-    def _check(self, other: "UniPoly") -> None:
-        if self.char != other.char:
-            raise ValueError("characteristic mismatch")
-
 
 def _mulmod(a: tuple[int, ...], b: tuple[int, ...], h: tuple[int, ...], p: int) -> tuple[int, ...]:
     """a * b mod h over F_p on lowest-first coefficient tuples, for a monic h of
-    degree n: n residues in [0, p), trailing zeros kept."""
+    degree n: n residues in [0, p), trailing zeros kept.  The coefficients of a
+    and b may be any ints; b = (1,) gives the remainder of a."""
     n = len(h) - 1
     prod = [0] * (len(a) + len(b) + n)
     for i, c in enumerate(a):
@@ -164,6 +78,29 @@ def _mulmod(a: tuple[int, ...], b: tuple[int, ...], h: tuple[int, ...], p: int) 
             for j in range(n):
                 prod[i - n + j] -= c * h[j]
     return tuple(c % p for c in prod[:n])
+
+
+def _powmod(a: tuple[int, ...], e: int, h: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a**e mod a monic h over F_p, in _mulmod's form for e >= 1 and (1,),
+    unreduced, for e = 0; a negative e raises ValueError("negative power")."""
+    return power(a, e, lambda u, v: _mulmod(u, v, h, p), (1,))
+
+
+def _monic(a: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a scaled to leading coefficient 1, trailing zeros dropped first; () stays ()."""
+    a = UniPoly(p, a).coeffs
+    if not a:
+        return a
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def _gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The monic gcd over F_p of two coefficient tuples; () if both are zero."""
+    a, b = _monic(a, p), _monic(b, p)
+    while b:
+        a, b = b, _monic(_mulmod(a, (1,), b, p), p)
+    return a
 
 
 def gauss_irreducible_count(p: int, ell: int) -> int:
@@ -178,18 +115,20 @@ def gauss_irreducible_count(p: int, ell: int) -> int:
 
 
 def is_irreducible(f: UniPoly) -> bool:
-    """Rabin's deterministic irreducibility test over F_p."""
+    """Rabin's deterministic irreducibility test over F_p: f of degree n is
+    irreducible iff x^(p^n) = x mod f and gcd(f, x^(p^(n/q)) - x) = 1 for
+    every prime q dividing n."""
     n = f.degree
     if n < 1:
         return False
     p = f.char
-    f = f.monic()
-    x = UniPoly.x(p)
+    h = _monic(f.coeffs, p)
+    x = _mulmod((0, 1), (1,), h, p)
     for q in factorize(n):
-        h = x.powmod(p ** (n // q), f) - x
-        if f.gcd(h).degree != 0:
+        y = _powmod(x, p ** (n // q), h, p)
+        if _gcd(h, tuple(c - d for c, d in zip(y, x)), p) != (1,):
             return False
-    return x.powmod(p**n, f) == (x % f)
+    return _powmod(x, p**n, h, p) == x
 
 
 def enumerate_irreducibles(p: int, ell: int):

@@ -16,15 +16,16 @@ that a profile computes each of them once; nothing in it outlives the memo.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
-from .algebra import power, primes, smallest_prime_not_dividing
+from .algebra import primes, smallest_prime_not_dividing
 from .errors import FinquotError, IdentityWordError
 from .fields import Field, finite_field
 from .groups import GroupSpec, Word, inverse_label, scaled_difference, word_evaluate
 from .multipoly import MultiPoly, substitution_exponents
 from .ratfunc import FieldMatrix
-from .unipoly import UniPoly, _mulmod, enumerate_irreducibles
+from .unipoly import UniPoly, _monic, _mulmod, _powmod, enumerate_irreducibles
 
 ORDER_BUDGET = 200_000
 
@@ -274,11 +275,12 @@ def charp_witness(f: MultiPoly, irreducibles=enumerate_irreducibles) -> FieldHom
 def _sparse_mod(g: dict[int, int], h: UniPoly) -> dict[int, int]:
     """g mod h for sparse g and deg h > 0, as the sum of c * (x^d mod h) on tuples,
     never dense in the degree of g; empty dict means h | g."""
-    p, hc = h.char, h.monic().coeffs
+    p = h.char
+    hc = h.coeffs if h.is_monic() else _monic(h.coeffs, p)
     x = _mulmod((0, 1), (1,), hc, p)
     acc = [0] * h.degree
     for d, c in g.items():
-        for i, a in enumerate(power(x, d, lambda a, b: _mulmod(a, b, hc, p), (1,))):
+        for i, a in enumerate(_powmod(x, d, hc, p)):
             acc[i] += c * a
     return {i: c % p for i, c in enumerate(acc) if c % p}
 
@@ -552,11 +554,6 @@ def chain_prime_bound(value_bound: int, excluded: frozenset[int] = frozenset()) 
     If the product of non-excluded primes up to P exceeds |i|, some admissible
     prime up to P fails to divide i, so the witness prime is at most P.
     """
-    prod = 1
-    for p in primes():
-        if p in excluded:
-            continue
-        prod *= p
-        if prod > value_bound:
-            return p
-    raise AssertionError("unreachable")
+    admissible, factors = itertools.tee(p for p in primes() if p not in excluded)
+    products = itertools.accumulate(factors, operator.mul)
+    return next(p for p, prod in zip(admissible, products) if prod > value_bound)

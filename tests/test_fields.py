@@ -4,9 +4,16 @@ import itertools
 import random
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_mul, gf_rem
 
 from finquot.fields import finite_field
-from finquot.unipoly import UniPoly
+from finquot.unipoly import UniPoly, enumerate_irreducibles
+
+
+def _neg(field, a):
+    """-a, as a times the element -1, which p - 1 encodes in both encodings."""
+    return field.mul(field.p - 1, a)
 
 
 def test_prime_field_matches_int_arithmetic():
@@ -16,9 +23,9 @@ def test_prime_field_matches_int_arithmetic():
         for _ in range(50):
             a, b = rng.randrange(p), rng.randrange(p)
             assert field.add(a, b) == (a + b) % p
-            assert field.add(a, field.neg(b)) == (a - b) % p
+            assert field.add(a, _neg(field, b)) == (a - b) % p
             assert field.mul(a, b) == (a * b) % p
-            assert field.neg(a) == (-a) % p
+            assert _neg(field, a) == (-a) % p
             assert field.pow(a, 3) == pow(a, 3, p)
             assert field.encode(a + 7 * p) == field.encode(a - p) == a
 
@@ -116,3 +123,47 @@ def test_extension_frobenius_is_additive():
     for a in range(8):
         for b in range(8):
             assert field.pow(field.add(a, b), 2) == field.add(field.pow(a, 2), field.pow(b, 2))
+
+
+def _sympy_element(field, digits):
+    """sympy's dense GF(p) form (highest first, no leading zero) of a digit tuple."""
+    out = [c % field.p for c in reversed(digits)]
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+@pytest.mark.parametrize("p,degree", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)])
+def test_tables_match_sympy_gf(p, degree):
+    # F_4, F_8, F_9, F_16, F_25, F_27, F_49: every table cell against sympy's
+    # GF(p) arithmetic, rem(a * b, h) and a + b, for the first two moduli
+    for modulus in itertools.islice(enumerate_irreducibles(p, degree), 2):
+        field = finite_field(p, modulus)
+        h = _sympy_element(field, modulus.coeffs)
+        elements = [_sympy_element(field, field.coeffs(v)) for v in range(field.q)]
+        code = {tuple(e): v for v, e in enumerate(elements)}
+        assert len(code) == field.q
+        for a, ea in enumerate(elements):
+            for b, eb in enumerate(elements):
+                assert field.mul(a, b) == code[tuple(gf_rem(gf_mul(ea, eb, p, ZZ), h, p, ZZ))]
+                assert field.add(a, b) == code[tuple(gf_add(ea, eb, p, ZZ))]
+
+
+@pytest.mark.parametrize("p,degree", [(2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
+def test_encode_maps_non_canonical_input_to_the_canonical_element(p, degree):
+    # longer than deg h, negative coefficients, the empty list: sympy's
+    # rem(value, h) over GF(p) names the element
+    rng = random.Random(41 * p + degree)
+    modulus = next(enumerate_irreducibles(p, degree))
+    field = finite_field(p, modulus)
+    h = _sympy_element(field, modulus.coeffs)
+    code = {tuple(_sympy_element(field, field.coeffs(v))): v for v in range(field.q)}
+    assert field.encode([]) == field.encode(()) == 0
+    assert field.encode([p, -p, 2 * p]) == 0
+    for _ in range(200):
+        value = [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randrange(0, 3 * degree + 2))]
+        expected = code[tuple(gf_rem(_sympy_element(field, value), h, p, ZZ))]
+        assert field.encode(value) == field.encode(tuple(value)) == expected
+    # a canonical digit tuple encodes to itself
+    for v in range(field.q):
+        assert field.encode(field.coeffs(v)) == v

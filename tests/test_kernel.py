@@ -35,6 +35,11 @@ def _field(p: int, degree: int = 1):
 FIELDS = [(p, 1) for p in range(2, 32) if is_prime(p)] + [(3, 2), (3, 3), (2, 2), (2, 3)]
 
 
+def _neg(field, c):
+    """-c, as c times the element -1, which p - 1 encodes in both encodings."""
+    return field.mul(field.p - 1, c)
+
+
 def closure_order(gens, field, m, budget):
     """Size of the generated group by breadth-first closure under the generators;
     the oracle for stabilizer_chain_order, exact iff the size is at most budget."""
@@ -193,7 +198,7 @@ def _elementary(rng, field, m, upper):
     else:
         j = rng.choice([j for j in range(m) if (j > i if upper else j != i)])
         c = rng.randrange(1, field.q)
-        cells[i * m + j], inv[i * m + j] = c, field.neg(c)
+        cells[i * m + j], inv[i * m + j] = c, _neg(field, c)
     return tuple(cells), tuple(inv)
 
 
@@ -214,7 +219,7 @@ def _generator_sets(field, m):
     sets = [[_random_pair(rng, field, m)], [_random_pair(rng, field, m, upper=True) for _ in range(2)]]
     if m == 2:
         c = rng.randrange(1, field.q)
-        minus = field.neg(c)
+        minus = _neg(field, c)
         sets.append([((1, c, 0, 1), (1, minus, 0, 1)), ((1, 0, c, 1), (1, 0, minus, 1))])
     else:
         shift = tuple(int(j == (i + 1) % m) for i in range(m) for j in range(m))

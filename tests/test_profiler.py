@@ -6,7 +6,7 @@ import math
 import pytest
 import sympy
 
-from finquot.algebra import dz, is_prime, next_prime
+from finquot.algebra import dz, is_prime, next_prime, smallest_prime_not_dividing
 from finquot.errors import BudgetExceeded, NotFoundWithinBudget
 from finquot.groups import ball_enumerate, sanov_group
 from finquot.profiler import (
@@ -241,6 +241,19 @@ def test_profile_cyclic_prime_gap_at_six(cyclic):
     assert profile.rows[-1].max_d_reduction == 5
     assert farb_z(6) == 4
     assert farb_z(6) <= profile.rows[-1].max_d_reduction
+
+
+def test_profile_cyclic_closed_form_to_radius_60(cyclic):
+    # a^k survives in F_p exactly when p does not divide k, so the cyclic
+    # profile is the running maximum of the least prime not dividing k; it
+    # covers field quotients only: max_d_reduction is 5 at radii 6-11, where
+    # farb_z gives 4 (Z/4 separates a^6)
+    profile = farb_profile(cyclic, 60)
+    closed = list(itertools.accumulate((smallest_prime_not_dividing(k) for k in range(1, 61)), max))
+    assert [r.max_d_reduction for r in profile.rows] == closed
+    assert all(r.exhaustive and r.budget_misses == 0 for r in profile.rows)
+    assert [profile.row(n).max_d_reduction for n in range(6, 12)] == [5] * 6
+    assert [farb_z(n) for n in range(6, 12)] == [4] * 6
 
 
 def test_profile_sanov_small(sanov):

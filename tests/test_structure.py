@@ -6,8 +6,10 @@ ReductionBudget's fields name the budgets, witness_from_data takes its keys
 from WitnessRecord's fields, only algebra.power runs a square-and-multiply
 loop, a modular inverse is pow(c, -1, p) and never a Fermat power
 pow(c, p - 2, p), the only process-wide state is two caches of pure field
-data, and every public function and class in src/ is used outside the
-tests."""
+data, every public function and class in src/ is used outside the tests,
+and class UniPoly keeps no arithmetic: no arithmetic dunder and no divmod,
+gcd, powmod or scale method, since F_p[x] arithmetic runs only on the
+coefficient tuples of the unipoly kernel (_mulmod, _powmod, _gcd)."""
 
 from __future__ import annotations
 
@@ -248,3 +250,21 @@ def test_no_test_only_names():
         if not node.name.startswith("_") and node.name not in used
     ]
     assert found == []
+
+
+_ARITHMETIC_DUNDERS = {"__add__", "__sub__", "__neg__", "__mul__", "__mod__", "__pow__", "__truediv__"}
+_ARITHMETIC_METHODS = {"divmod", "gcd", "powmod", "scale"}
+
+
+def test_unipoly_keeps_no_arithmetic():
+    # a second F_p[x] product beside the tuple kernel is a second copy
+    [unipoly] = [
+        node
+        for name, tree in _modules()
+        if name == "unipoly.py"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "UniPoly"
+    ]
+    methods = {node.name for node in unipoly.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "render" in methods
+    assert methods & (_ARITHMETIC_DUNDERS | _ARITHMETIC_METHODS) == set()

@@ -130,12 +130,32 @@ def test_charp_degree_within_count_bound():
 
 
 def _old_sparse_mod(g, h):
-    """The per-monomial UniPoly sum that _sparse_mod replaced."""
-    x = UniPoly.x(h.char)
-    acc = UniPoly.zero(h.char)
+    """The per-monomial sum that _sparse_mod replaced, on dense lists: c * (x^d
+    mod h) summed, each power by square and multiply on remainders by
+    schoolbook long division (h need not be monic)."""
+    p, hc, n = h.char, h.coeffs, h.degree
+    inv = pow(hc[-1], -1, p)
+
+    def rem(a):
+        a = [c % p for c in a] + [0] * n
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i] * inv % p
+            for j, d in enumerate(hc):
+                a[i - n + j] = (a[i - n + j] - c * d) % p
+        return a[:n]
+
+    def mulrem(a, b):
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        return rem(prod)
+
+    acc = [0] * n
     for d, c in g.items():
-        acc = acc + power(x % h, d, lambda a, b: a * b % h, UniPoly.const(h.char, 1)).scale(c)
-    return {i: c for i, c in enumerate(acc.coeffs) if c}
+        for i, a in enumerate(power(rem([0, 1]), d, mulrem, rem([1]))):
+            acc[i] += c * a
+    return {i: c % p for i, c in enumerate(acc) if c % p}
 
 
 def _sympy_rem(g, h):
